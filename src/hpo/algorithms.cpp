@@ -70,7 +70,7 @@ std::unique_ptr<SearchAlgorithm> make_search_algorithm(const std::string& name,
                                         GpBayesOpt::Options{.max_evals = budget, .seed = seed});
   if (name == "tpe")
     return std::make_unique<TpeSearch>(space, TpeSearch::Options{.max_evals = budget, .seed = seed});
-  throw std::invalid_argument("optimize: unknown algorithm '" + name +
+  throw std::invalid_argument("make_search_algorithm: unknown algorithm '" + name +
                               "' (grid | random | gp | tpe)");
 }
 

@@ -124,17 +124,22 @@ void Engine::make_ready(TaskId task) {
 }
 
 void Engine::push_ready(TaskRecord& record) {
-  if (record.in_ready) return;  // already queued (and its entry is live)
-  record.in_ready = true;
-  ++record.ready_epoch;
-  ready_shards_[record.study].fifo.emplace_back(record.id, record.ready_epoch);
+  // Fifo consumes ready-push order; every other policy (priority, id).
+  record.ready_key = scheduler_->order_sensitive()
+                         ? ++ready_seq_
+                         : (std::uint64_t{!record.def.priority} << 63) | record.id;
+  // Keys mostly arrive ascending (ids and push stamps grow), so the end
+  // hint makes the common insert O(1).
+  auto& ready = ready_shards_[record.study].ready;
+  ready.emplace_hint(ready.end(), record.ready_key, record.id);
   ++ready_total_;
 }
 
 void Engine::remove_from_ready(TaskRecord& record) {
-  if (!record.in_ready) return;
-  record.in_ready = false;
-  ++record.ready_epoch;  // the queued entry no longer matches: stale
+  auto& ready = ready_shards_[record.study].ready;
+  const auto it = ready.find(record.ready_key);
+  if (it == ready.end() || it->second != record.id) return;  // not queued
+  ready.erase(it);
   --ready_total_;
 }
 
@@ -142,86 +147,102 @@ std::vector<Dispatch> Engine::schedule(double now) {
   std::vector<Dispatch> dispatches;
   process_node_events(now, dispatches);
 
-  // One walk per study shard: compact lazily-removed (stale) entries in
-  // place and lineage-gate the survivors. A ready task whose input
-  // versions died with a node stays queued (its recovery is demanded
-  // here) instead of dispatching into a DataLostError; tasks with
-  // unrecoverable inputs fail below. The gate runs before
-  // dispatch_recoveries so a recovery it demands can launch in this same
-  // pass. The per-input version_lost probes (a shared-lock registry
-  // lookup each) only run while some version is actually lost — the
-  // common case skips them entirely.
-  const bool gate = graph_.registry().lost_count() > 0;
-  // Study policy (pause / max_running quota) is applied here, during the
-  // walk, by capping how many live entries each shard contributes — the
-  // first `budget` survivors, i.e. exactly the set the old post-hoc
-  // truncation kept. Held entries are still compacted and lineage-gated,
-  // they just don't become candidates this round.
-  //
-  // Candidate collection has two shapes. Order-insensitive schedulers
-  // (everything but Fifo) re-sort by (priority, id) anyway, so their
-  // candidates go straight into one flat reused buffer and the fair-share
-  // interleave is skipped wholesale. Fifo consumes engine order, so its
-  // candidates keep per-study lists for the weighted-deficit interleave.
-  const bool interleave = scheduler_->order_sensitive();
-  std::map<StudyId, std::vector<TaskId>> runnable;
-  schedule_scratch_.clear();
-  std::vector<TaskId> doomed;
-  for (auto& [study, shard] : ready_shards_) {
-    const StudyPolicy policy = policy_for(study);
-    std::size_t budget = shard.fifo.size();
-    if (policy.paused) {
-      budget = 0;
-    } else if (policy.max_running > 0) {
-      // Lineage-recovery attempts re-execute Done tasks on the engine's
-      // behalf and never count against a study's cap — the shard counter
-      // only tracks non-recovery attempts.
-      const int slots = policy.max_running - shard.running;
-      budget = slots > 0 ? static_cast<std::size_t>(slots) : 0;
-    }
-    std::vector<TaskId>* live = nullptr;
-    std::size_t taken = 0;
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
-      const std::pair<TaskId, std::uint32_t> entry = shard.fifo[read];
-      TaskRecord& record = graph_.task(entry.first);
-      if (!record.in_ready || record.ready_epoch != entry.second) continue;  // stale: drop
-      shard.fifo[write++] = entry;
-      if (gate) {
+  // Lineage gate: while some version is lost, walk every ready task. One
+  // whose input versions died with a node stays queued but held (its
+  // recovery is demanded here) instead of dispatching into a
+  // DataLostError; one with unrecoverable inputs fails. The gate runs
+  // before dispatch_recoveries so a recovery it demands can launch in this
+  // same pass. The per-input version_lost probes (a shared-lock registry
+  // lookup each) are the reason it is gated: the common case skips the
+  // walk entirely.
+  std::set<TaskId> held;
+  if (graph_.registry().lost_count() > 0) {
+    std::vector<TaskId> doomed;
+    for (const auto& [study, shard] : ready_shards_)
+      for (const auto& [key, id] : shard.ready) {
         bool task_doomed = false;
-        if (!inputs_ready(record, now, task_doomed)) {
-          if (task_doomed) doomed.push_back(entry.first);
-          continue;  // held behind lineage recovery (or failed below)
-        }
+        if (inputs_ready(graph_.task(id), now, task_doomed)) continue;
+        if (task_doomed)
+          doomed.push_back(id);
+        else
+          held.insert(id);
       }
-      if (taken >= budget) continue;  // paused or at quota: hold, keep compacting
-      ++taken;
-      if (interleave) {
-        if (live == nullptr) live = &runnable[study];
-        live->push_back(entry.first);
-      } else {
-        schedule_scratch_.push_back(entry.first);
-      }
+    for (TaskId id : doomed) {
+      TaskRecord& record = graph_.task(id);
+      remove_from_ready(record);
+      record.state = TaskState::Failed;
+      record.failure_reason = "input data lost with a node and unrecoverable";
+      mark_terminal(id);
+      cancel_dependents(id);
     }
-    shard.fifo.resize(write);
-  }
-  for (TaskId id : doomed) {
-    TaskRecord& record = graph_.task(id);
-    remove_from_ready(record);
-    record.state = TaskState::Failed;
-    record.failure_reason = "input data lost with a node and unrecoverable";
-    mark_terminal(id);
-    cancel_dependents(id);
   }
   // Recoveries get resource priority over fresh placements: downstream
   // work is already blocked on them.
   dispatch_recoveries(now, dispatches);
-  std::vector<TaskId> interleaved;
-  if (interleave) interleaved = apply_study_policy(runnable);
-  const std::vector<TaskId>& ordered = interleave ? interleaved : schedule_scratch_;
-  if (ordered.empty()) return dispatches;
+  place_ready(now, held, dispatches);
+  return dispatches;
+}
 
-  std::vector<Dispatch> placed = scheduler_->schedule(ordered, graph_, resources_);
+void Engine::place_ready(double now, const std::set<TaskId>& held, std::vector<Dispatch>& out) {
+  // One cursor per study that may start tasks: not paused, and with
+  // `budget` candidates left under its max_running cap. Lineage-recovery
+  // attempts re-execute Done tasks on the engine's behalf and never count
+  // against a study's cap — the shard counter only tracks non-recovery
+  // attempts.
+  struct Cursor {
+    std::map<std::uint64_t, TaskId>::const_iterator next;
+    std::map<std::uint64_t, TaskId>::const_iterator end;
+    std::size_t budget = 0;
+    int active = 0;  ///< running + pulled this pass: the fair-share deficit
+    double inv_weight = 1.0;
+  };
+  std::vector<Cursor> cursors;
+  for (const auto& [study, shard] : ready_shards_) {
+    const StudyPolicy policy = policy_for(study);
+    if (shard.ready.empty() || policy.paused) continue;
+    std::size_t budget = shard.ready.size();
+    if (policy.max_running > 0) {
+      if (policy.max_running <= shard.running) continue;
+      budget = static_cast<std::size_t>(policy.max_running - shard.running);
+    }
+    cursors.push_back(Cursor{.next = shard.ready.begin(),
+                             .end = shard.ready.end(),
+                             .budget = budget,
+                             .active = shard.running,
+                             .inv_weight = 1.0 / policy.weight});
+  }
+
+  // Pull one candidate at a time until no node has a free slot. Fifo takes
+  // the study with the smallest weighted deficit (running + pulled) /
+  // weight, ties to the lowest StudyId (cursors are in StudyId order), so
+  // over time each study's share of placements tracks its weight. Every
+  // other policy takes the smallest head key: one (priority, id) order
+  // across all studies. A candidate that does not fit is skipped and still
+  // counts as pulled.
+  const bool fifo = scheduler_->order_sensitive();
+  const NodeHealth* health = scheduler_->effective_health(resources_);
+  std::vector<Dispatch> placed;
+  while (resources_.any_free_slot()) {
+    Cursor* best = nullptr;
+    for (Cursor& c : cursors) {
+      while (c.next != c.end && held.contains(c.next->second)) ++c.next;
+      if (c.budget == 0 || c.next == c.end) continue;
+      if (best == nullptr ||
+          (fifo ? c.active * c.inv_weight < best->active * best->inv_weight
+                : c.next->first < best->next->first))
+        best = &c;
+    }
+    if (best == nullptr) break;
+    const TaskId id = (best->next++)->second;
+    --best->budget;
+    ++best->active;
+    if (auto dispatch = scheduler_->place(graph_.task(id), graph_, resources_, health))
+      placed.push_back(std::move(*dispatch));
+  }
+
+  // Registered only once pulling is over: registration moves the shard
+  // running counters and the health tracker's in-flight counts, which the
+  // pass above must read as they were when it began.
   for (Dispatch& d : placed) {
     TaskRecord& record = graph_.task(d.task);
     remove_from_ready(record);
@@ -239,9 +260,8 @@ std::vector<Dispatch> Engine::schedule(double now) {
                               .cores = d.placement.cores,
                               .t_start = now,
                               .t_end = now});
-    dispatches.push_back(std::move(d));
+    out.push_back(std::move(d));
   }
-  return dispatches;
 }
 
 void Engine::set_study_policy(StudyId study, StudyPolicy policy) {
@@ -287,66 +307,6 @@ std::size_t Engine::cancel_study(StudyId study, double now) {
                             .t_start = now,
                             .t_end = now});
   return cancelled;
-}
-
-std::vector<TaskId> Engine::apply_study_policy(std::map<StudyId, std::vector<TaskId>>& runnable) {
-  std::vector<TaskId> out;
-  if (runnable.empty()) return out;
-  // Lists arrive pre-filtered from the ready-shard walk (pause and
-  // max_running quotas already applied by capping each shard's
-  // contribution), so a single study's order is just its FIFO order.
-  if (runnable.size() == 1) return std::move(runnable.begin()->second);
-
-  // Weighted-deficit interleave: repeatedly grant the study whose
-  // (running + granted) / weight is smallest, so over time each study's
-  // share of placements tracks its weight. `running` is the shard counter
-  // maintained at attempt registration/conclusion — an O(studies) read
-  // per pass instead of an O(inflight) rescan; only studies whose counter
-  // actually moved shift the interleave. Ties go to the lowest StudyId —
-  // deterministic on both backends (std::map iterates in id order).
-  //
-  // The deficit is a multiply by the precomputed reciprocal weight: the
-  // scan runs once per granted task, so a divide here is measurable in
-  // storms.
-  struct Cursor {
-    std::vector<TaskId>* list = nullptr;
-    std::size_t next = 0;
-    int active = 0;
-    double inv_weight = 1.0;
-  };
-  // A flat array, filled in StudyId order (the map guarantees it): the
-  // selection scan below runs once per granted task, so it must walk
-  // contiguous memory, and "first cursor wins ties" then means "lowest
-  // StudyId wins" — deterministic on both backends.
-  std::vector<Cursor> cursors;
-  cursors.reserve(runnable.size());
-  std::size_t total = 0;
-  for (auto& [study, list] : runnable) {
-    if (list.empty()) continue;
-    Cursor c;
-    c.list = &list;
-    c.active = ready_shards_[study].running;
-    c.inv_weight = 1.0 / policy_for(study).weight;
-    cursors.push_back(c);
-    total += list.size();
-  }
-  out.reserve(total);
-  while (true) {
-    Cursor* best = nullptr;
-    double best_deficit = 0.0;
-    for (Cursor& c : cursors) {
-      if (c.next >= c.list->size()) continue;
-      const double deficit = static_cast<double>(c.active) * c.inv_weight;
-      if (best == nullptr || deficit < best_deficit) {
-        best = &c;
-        best_deficit = deficit;
-      }
-    }
-    if (best == nullptr) break;
-    out.push_back((*best->list)[best->next++]);
-    ++best->active;
-  }
-  return out;
 }
 
 std::string Engine::speculation_key(const TaskRecord& record) const {
@@ -1241,12 +1201,10 @@ bool Engine::reap_infeasible() {
       progressed = true;
     }
   }
-  for (auto& [study, shard] : ready_shards_) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < shard.fifo.size(); ++read) {
-      const std::pair<TaskId, std::uint32_t> entry = shard.fifo[read];
-      TaskRecord& record = graph_.task(entry.first);
-      if (!record.in_ready || record.ready_epoch != entry.second) continue;  // stale: drop
+  std::vector<TaskId> infeasible;
+  for (const auto& [study, shard] : ready_shards_) {
+    for (const auto& [key, id] : shard.ready) {
+      const TaskRecord& record = graph_.task(id);
       bool feasible = false;
       const int n_variants = static_cast<int>(record.def.variants.size());
       for (int variant = -1; variant < n_variants && !feasible; ++variant) {
@@ -1260,18 +1218,18 @@ bool Engine::reap_infeasible() {
         }
         feasible = fitting >= std::max(1u, constraint.nodes);
       }
-      if (feasible) {
-        shard.fifo[write++] = entry;
-        continue;
-      }
-      remove_from_ready(record);
-      record.state = TaskState::Failed;
-      record.failure_reason = "no live node can satisfy the constraint";
-      mark_terminal(record.id);
-      cancel_dependents(record.id);
-      progressed = true;
+      if (!feasible) infeasible.push_back(id);
     }
-    shard.fifo.resize(write);
+  }
+  for (const TaskId id : infeasible) {
+    TaskRecord& record = graph_.task(id);
+    if (record.state != TaskState::Ready) continue;  // doomed by an earlier failure here
+    remove_from_ready(record);
+    record.state = TaskState::Failed;
+    record.failure_reason = "no live node can satisfy the constraint";
+    mark_terminal(id);
+    cancel_dependents(id);
+    progressed = true;
   }
   return progressed;
 }

@@ -69,12 +69,14 @@ struct EngineOptions {
   std::uint64_t seed = 42;  ///< base seed for per-attempt task RNGs
 };
 
-/// Per-study scheduling policy, applied at the ready-queue seam (before the
-/// placement scheduler sees the runnable list). Studies multiplexed onto one
-/// engine share resources by weighted fair-share; a paused study's ready
-/// tasks are held (its in-flight attempts still finish and commit).
+/// Per-study scheduling policy, applied where the engine pulls ready tasks
+/// for the placement scheduler. A paused study's ready tasks are held (its
+/// in-flight attempts still finish and commit). `weight` sets the study's
+/// fair share only under an order-sensitive scheduler (fifo): priority,
+/// locality and cost-aware take tasks by (priority, id) across all
+/// studies, which leaves weights inert there.
 struct StudyPolicy {
-  double weight = 1.0;  ///< fair-share weight between ready queues (> 0)
+  double weight = 1.0;  ///< fair-share weight between ready sets (> 0)
   int max_running = 0;  ///< cap on concurrently running tasks; 0 = unlimited
   bool paused = false;  ///< hold ready tasks; do not start new attempts
 };
@@ -324,26 +326,19 @@ class Engine {
     int pinned_node = -1;
   };
 
-  /// Fair-share interleave over the pre-filtered runnable lists (one per
-  /// study, each in submission order; pause/quota membership was already
-  /// applied by the ready-shard walk): grant tasks by weighted deficit so
-  /// an order-sensitive scheduler (Fifo) sees a fair-share order. Deficits
-  /// read the per-shard running counters maintained at attempt
-  /// registration and conclusion — only studies whose counter changed
-  /// shift the interleave; nothing rescans inflight_. With a single study
-  /// the input order is preserved. Consumes the lists (moves out of them).
-  /// Order-insensitive schedulers bypass this entirely: their candidates
-  /// are collected flat into schedule_scratch_ during the walk.
-  std::vector<TaskId> apply_study_policy(std::map<StudyId, std::vector<TaskId>>& runnable)
-      CHPO_REQUIRES(g_engine_ctx);
   StudyPolicy policy_for(StudyId study) const;
 
   void make_ready(TaskId task) CHPO_REQUIRES(g_engine_ctx);
-  /// Append `record` to its study's ready shard (stamps a fresh epoch).
+  /// Insert `record` into its study's ready set under a fresh order key.
   void push_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);
-  /// O(1) lazy removal: clears in_ready and bumps the epoch so the queued
-  /// shard entry is recognised as stale and dropped on the next walk.
+  /// Erase `record`'s ready-set entry; a no-op when it has none.
   void remove_from_ready(TaskRecord& record) CHPO_REQUIRES(g_engine_ctx);
+  /// The pull loop of schedule(): offer ready tasks to the scheduler one
+  /// at a time, in policy order, until no node has a free slot; skip
+  /// paused studies, studies at their max_running cap and `held` tasks.
+  /// Registers what was placed and appends the dispatches to `out`.
+  void place_ready(double now, const std::set<TaskId>& held, std::vector<Dispatch>& out)
+      CHPO_REQUIRES(g_engine_ctx);
   void cancel_dependents(TaskId task) CHPO_REQUIRES(g_engine_ctx);
   void commit_outputs(TaskRecord& task, AttemptResult& result) CHPO_REQUIRES(g_engine_ctx);
   /// Single funnel for terminal transitions: stamps the completion order
@@ -394,23 +389,20 @@ class Engine {
   trace::TraceSink& sink_;
   SpeculationTracker speculation_;
   NodeHealth health_;
-  /// One ready queue per study. `fifo` holds (task, epoch) entries in
-  /// submission order; removal is lazy — remove_from_ready clears the
-  /// record's in_ready flag and bumps its epoch, and the next schedule()
-  /// walk compacts stale entries in place — so dispatch, cancel, and
-  /// doomed-task removal are all O(1) instead of an O(ready) erase.
-  /// `running` counts the study's non-recovery in-flight attempts so the
-  /// fair-share pass reads a counter instead of scanning inflight_.
+  /// One ordered ready set per study, key -> task. The key is stamped by
+  /// push_ready: a push sequence number under an order-sensitive scheduler
+  /// (fifo), else (!priority, id). Dispatch, cancel and doom erase entries
+  /// directly, so the sets hold exactly the queued ready tasks and a
+  /// scheduling pass reads only the heads it pulls. `running` counts the
+  /// study's non-recovery in-flight attempts, for the max_running cap and
+  /// the fair-share deficit.
   struct ReadyShard {
-    std::deque<std::pair<TaskId, std::uint32_t>> fifo;
+    std::map<std::uint64_t, TaskId> ready;
     int running = 0;
   };
   std::map<StudyId, ReadyShard> ready_shards_;
-  std::size_t ready_total_ = 0;  ///< live (non-stale) entries across shards
-  /// Reused candidate buffer for order-insensitive schedulers: cleared and
-  /// refilled by every schedule() walk so a storm doesn't pay a fresh
-  /// allocation per scheduling round. Coordinator-confined like the rest.
-  std::vector<TaskId> schedule_scratch_;
+  std::size_t ready_total_ = 0;  ///< entries across all ready sets
+  std::uint64_t ready_seq_ = 0;  ///< fifo push stamp source
   /// Studies with an explicit policy (weight / cap / paused). Absent
   /// studies use the defaults, so the map stays empty until sessions ask
   /// for something non-default.

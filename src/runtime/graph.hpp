@@ -59,14 +59,9 @@ struct TaskRecord {
   /// flight. Recovery never reopens task state — the task stays Done and
   /// keeps its terminal_seq; only its output data is recommitted.
   bool recovering = false;
-  /// Live entry in the engine's per-study ready shard. Removal is lazy:
-  /// clearing this flag (plus bumping ready_epoch) invalidates the queued
-  /// entry in O(1); the shard compacts stale entries on its next scan.
-  bool in_ready = false;
-  /// Generation stamp for the queued ready entry; a shard entry whose
-  /// stamp doesn't match is stale (the task left and possibly re-entered
-  /// the ready set since it was queued).
-  std::uint32_t ready_epoch = 0;
+  /// Order key of the task's entry in its study's ready set, stamped by
+  /// the engine each time the task turns ready (see Engine::push_ready).
+  std::uint64_t ready_key = 0;
 
   const Constraint& implementation_constraint(int variant) const {
     return variant < 0 ? def.constraint

@@ -151,6 +151,16 @@ bool ResourceState::node_down(std::size_t node) const {
   return nodes_[node].down;
 }
 
+bool ResourceState::any_free_slot() const {
+  for (const NodeState& n : nodes_) {
+    if (n.down || !n.usable) continue;
+    if (std::find(n.core_busy.begin(), n.core_busy.end(), false) != n.core_busy.end() ||
+        std::find(n.gpu_busy.begin(), n.gpu_busy.end(), false) != n.gpu_busy.end())
+      return true;
+  }
+  return false;
+}
+
 unsigned ResourceState::free_cpus(std::size_t node) const {
   if (node >= nodes_.size()) return 0;
   const NodeState& n = nodes_[node];

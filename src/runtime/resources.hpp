@@ -64,6 +64,10 @@ class ResourceState {
   /// Historical alias for mark_node_down.
   void fail_node(std::size_t node) { mark_node_down(node); }
 
+  /// Some live node has a free cpu or gpu slot; a scheduling pass pulls
+  /// ready tasks only while this holds.
+  bool any_free_slot() const;
+
   unsigned free_cpus(std::size_t node) const;
   unsigned free_gpus(std::size_t node) const;
   unsigned busy_cpus(std::size_t node) const;

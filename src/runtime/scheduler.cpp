@@ -17,106 +17,6 @@ bool health_allows(const NodeHealth* health, std::size_t node) {
   return health == nullptr || health->allow_placement(node);
 }
 
-/// Ready ids ordered by (priority desc, id asc). The engine hands over
-/// per-study submission order (ids ascend within a study) and priority
-/// tasks are rare, so the list is almost always sorted already — a linear
-/// is_sorted check skips the O(n log n) stable_sort on the hot path (task
-/// storms keep thousands of ready ids queued behind a handful of slots).
-std::vector<TaskId> priority_order(const std::vector<TaskId>& ready, const TaskGraph& graph) {
-  // Bucket, don't comparison-sort: the key is (priority desc, id asc) and
-  // ids are unique, so splitting into two id-sorted buckets is equivalent
-  // to a stable_sort — at one graph lookup per element instead of two per
-  // comparison (the fair-share interleave hands over a study-interleaved
-  // list every round of a storm, so this runs constantly).
-  std::vector<TaskId> order;
-  order.reserve(ready.size());
-  std::vector<TaskId> rest;
-  for (const TaskId id : ready)
-    (graph.task(id).def.priority ? order : rest).push_back(id);
-  if (order.empty()) {
-    order = std::move(rest);
-    if (!std::is_sorted(order.begin(), order.end())) std::sort(order.begin(), order.end());
-    return order;
-  }
-  std::sort(order.begin(), order.end());
-  std::sort(rest.begin(), rest.end());
-  order.insert(order.end(), rest.begin(), rest.end());
-  return order;
-}
-
-/// Candidates in (priority desc, id asc) order, consumed lazily.
-///
-/// The engine hands over a concatenation of per-study ready lists — a few
-/// ascending id runs — and a storm round only ever places a handful of
-/// tasks before the cluster saturates. Sorting thousands of candidates per
-/// round to consume eight of them dominated multi-study profiles, so this
-/// stream detects the runs in one linear pass and then yields ids through
-/// a k-way head merge: O(runs) per task actually consumed, nothing
-/// materialised. Rare shapes (any priority task present, or heavy run
-/// churn) fall back to the eager sorted order — identical output, only the
-/// evaluation strategy differs. `raw` mode yields the input order
-/// untouched (Fifo).
-class CandidateStream {
- public:
-  CandidateStream(const std::vector<TaskId>& ready, const TaskGraph& graph, bool raw)
-      : source_(&ready) {
-    if (raw) {
-      if (!ready.empty()) runs_.push_back({0, ready.size()});
-      return;
-    }
-    bool any_priority = false;
-    std::size_t begin = 0;
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      if (graph.task(ready[i]).def.priority) any_priority = true;
-      if (i > 0 && ready[i] < ready[i - 1]) {
-        runs_.push_back({begin, i});
-        begin = i;
-      }
-    }
-    if (!ready.empty()) runs_.push_back({begin, ready.size()});
-    if (any_priority || runs_.size() > kMaxRuns) {
-      sorted_ = priority_order(ready, graph);
-      source_ = &sorted_;
-      runs_.clear();
-      runs_.push_back({0, sorted_.size()});
-    }
-  }
-
-  /// Smallest remaining id across run heads (or the next element in eager
-  /// / raw mode, where a single run covers the whole source).
-  std::optional<TaskId> next() {
-    const std::vector<TaskId>& src = *source_;
-    std::size_t best = runs_.size();
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      if (runs_[r].head >= runs_[r].end) continue;
-      if (best == runs_.size() || src[runs_[r].head] < src[runs_[best].head]) best = r;
-    }
-    if (best == runs_.size()) return std::nullopt;
-    return src[runs_[best].head++];
-  }
-
- private:
-  /// Beyond this many ascending runs the min-scan loses to one eager sort.
-  static constexpr std::size_t kMaxRuns = 16;
-  struct Run {
-    std::size_t head;
-    std::size_t end;
-  };
-  const std::vector<TaskId>* source_;
-  std::vector<TaskId> sorted_;
-  std::vector<Run> runs_;
-};
-
-/// No node has a single free cpu or gpu slot: nothing can place (every
-/// constraint requests at least one resource), so the per-task × per-node
-/// allocation probes can be skipped wholesale. This is the steady state of
-/// a saturated storm — thousands of ready tasks, zero open slots.
-bool cluster_saturated(const ResourceState& resources) {
-  for (std::size_t node = 0; node < resources.node_count(); ++node)
-    if (resources.free_cpus(node) > 0 || resources.free_gpus(node) > 0) return false;
-  return true;
-}
-
 /// Try one implementation of a task. Multinode constraints use the
 /// multi-allocation path; locality ranking applies to single-node ones.
 std::optional<Placement> place_implementation(const TaskRecord& task, const Constraint& constraint,
@@ -158,35 +58,18 @@ std::optional<Placement> place_implementation(const TaskRecord& task, const Cons
   return std::nullopt;
 }
 
-std::vector<Dispatch> schedule_in_order(const std::vector<TaskId>& ready, bool raw,
-                                        const TaskGraph& graph, ResourceState& resources,
-                                        bool locality_aware, const NodeHealth* health) {
-  std::vector<Dispatch> out;
-  // Saturation check before the stream's linear scan: a fully busy cluster
-  // pays O(nodes), not O(ready).
-  if (cluster_saturated(resources)) return out;
-  CandidateStream order(ready, graph, raw);
-  while (const std::optional<TaskId> next = order.next()) {
-    const TaskId id = *next;
-    const TaskRecord& task = graph.task(id);
-    // Primary implementation first, then @implement variants in order.
-    const int n_variants = static_cast<int>(task.def.variants.size());
-    bool placed = false;
-    for (int variant = -1; variant < n_variants; ++variant) {
-      auto placement = place_implementation(task, task.implementation_constraint(variant), graph,
-                                            resources, locality_aware, health);
-      if (placement) {
-        out.push_back(
-            Dispatch{.task = id, .placement = std::move(*placement), .variant = variant});
-        placed = true;
-        break;
-      }
-    }
-    // A successful placement may have taken the last open slot; stop
-    // probing the (possibly long) tail of ready tasks once it did.
-    if (placed && cluster_saturated(resources)) break;
+/// Primary implementation first, then @implement variants in order.
+std::optional<Dispatch> place_in_order(const TaskRecord& task, const TaskGraph& graph,
+                                       ResourceState& resources, bool locality_aware,
+                                       const NodeHealth* health) {
+  const int n_variants = static_cast<int>(task.def.variants.size());
+  for (int variant = -1; variant < n_variants; ++variant) {
+    auto placement = place_implementation(task, task.implementation_constraint(variant), graph,
+                                          resources, locality_aware, health);
+    if (placement)
+      return Dispatch{.task = task.id, .placement = std::move(*placement), .variant = variant};
   }
-  return out;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -221,22 +104,15 @@ std::uint64_t local_input_bytes(const TaskRecord& task, const DataRegistry& regi
   return bytes;
 }
 
-std::vector<Dispatch> FifoScheduler::schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
-                                              ResourceState& resources) {
-  return schedule_in_order(ready, /*raw=*/true, graph, resources, /*locality_aware=*/false,
-                           effective_health(resources));
+std::optional<Dispatch> Scheduler::place(const TaskRecord& task, const TaskGraph& graph,
+                                         ResourceState& resources, const NodeHealth* health) {
+  return place_in_order(task, graph, resources, /*locality_aware=*/false, health);
 }
 
-std::vector<Dispatch> PriorityScheduler::schedule(const std::vector<TaskId>& ready,
-                                                  const TaskGraph& graph, ResourceState& resources) {
-  return schedule_in_order(ready, /*raw=*/false, graph, resources,
-                           /*locality_aware=*/false, effective_health(resources));
-}
-
-std::vector<Dispatch> LocalityScheduler::schedule(const std::vector<TaskId>& ready,
-                                                  const TaskGraph& graph, ResourceState& resources) {
-  return schedule_in_order(ready, /*raw=*/false, graph, resources,
-                           /*locality_aware=*/true, effective_health(resources));
+std::optional<Dispatch> LocalityScheduler::place(const TaskRecord& task, const TaskGraph& graph,
+                                                 ResourceState& resources,
+                                                 const NodeHealth* health) {
+  return place_in_order(task, graph, resources, /*locality_aware=*/true, health);
 }
 
 namespace {
@@ -262,9 +138,9 @@ double estimated_seconds(const TaskRecord& task, int variant, const Placement& p
 
 }  // namespace
 
-std::vector<Dispatch> CostAwareScheduler::schedule(const std::vector<TaskId>& ready,
-                                                   const TaskGraph& graph,
-                                                   ResourceState& resources) {
+std::optional<Dispatch> CostAwareScheduler::place(const TaskRecord& task, const TaskGraph&,
+                                                  ResourceState& resources,
+                                                  const NodeHealth* health) {
   // A fitting option is taken only if it is within `kSpillFactor` of the
   // task's best achievable duration anywhere on the (live) cluster;
   // otherwise the task waits for better resources to free up. Deferral is
@@ -272,58 +148,37 @@ std::vector<Dispatch> CostAwareScheduler::schedule(const std::vector<TaskId>& re
   // can never fit (and is then excluded from the best-achievable bound).
   constexpr double kSpillFactor = 2.0;
   const auto& spec = resources.spec();
-  // best_possible below stays ungated: quarantine is transient, so a
-  // quarantined node still bounds what the task could achieve later.
-  const NodeHealth* health = effective_health(resources);
+  const int n_variants = static_cast<int>(task.def.variants.size());
 
-  std::vector<Dispatch> out;
-  for (TaskId id : priority_order(ready, graph)) {
-    const TaskRecord& task = graph.task(id);
-    const int n_variants = static_cast<int>(task.def.variants.size());
-
-    // Best achievable duration over every feasible (implementation, node).
-    double best_possible = std::numeric_limits<double>::infinity();
-    for (int variant = -1; variant < n_variants; ++variant) {
-      const Constraint& constraint = task.implementation_constraint(variant);
-      for (std::size_t node = 0; node < resources.node_count(); ++node) {
-        if (node_excluded(task, node) || !resources.could_fit(node, constraint)) continue;
-        const Placement hypothetical =
-            hypothetical_placement(static_cast<int>(node), constraint, spec.nodes[node].cpus);
-        best_possible = std::min(
-            best_possible, estimated_seconds(task, variant, hypothetical, spec.nodes[node]));
-      }
+  // Best achievable duration over every feasible (implementation, node).
+  // Ungated by health: quarantine is transient, so a quarantined node
+  // still bounds what the task could achieve later.
+  double best_possible = std::numeric_limits<double>::infinity();
+  for (int variant = -1; variant < n_variants; ++variant) {
+    const Constraint& constraint = task.implementation_constraint(variant);
+    for (std::size_t node = 0; node < resources.node_count(); ++node) {
+      if (node_excluded(task, node) || !resources.could_fit(node, constraint)) continue;
+      const Placement hypothetical =
+          hypothetical_placement(static_cast<int>(node), constraint, spec.nodes[node].cpus);
+      best_possible = std::min(
+          best_possible, estimated_seconds(task, variant, hypothetical, spec.nodes[node]));
     }
+  }
 
-    // Cheapest option that fits right now.
-    double best_fitting = std::numeric_limits<double>::infinity();
-    std::optional<Placement> best_placement;
-    int best_variant = -1;
-    for (int variant = -1; variant < n_variants; ++variant) {
-      const Constraint& constraint = task.implementation_constraint(variant);
-      if (constraint.nodes > 1) {
-        std::vector<int> excluded = task.excluded_nodes;
-        if (health)
-          for (std::size_t node = 0; node < resources.node_count(); ++node)
-            if (!health->allow_placement(node)) excluded.push_back(static_cast<int>(node));
-        if (auto probe = resources.try_allocate_multi(constraint, excluded)) {
-          const double seconds = estimated_seconds(
-              task, variant, *probe, spec.nodes[static_cast<std::size_t>(probe->node)]);
-          if (seconds < best_fitting) {
-            if (best_placement) resources.release(*best_placement);
-            best_fitting = seconds;
-            best_placement = std::move(*probe);
-            best_variant = variant;
-          } else {
-            resources.release(*probe);
-          }
-        }
-        continue;
-      }
-      for (std::size_t node = 0; node < resources.node_count(); ++node) {
-        if (node_excluded(task, node) || !health_allows(health, node)) continue;
-        auto probe = resources.try_allocate(node, constraint);
-        if (!probe) continue;
-        const double seconds = estimated_seconds(task, variant, *probe, spec.nodes[node]);
+  // Cheapest option that fits right now.
+  double best_fitting = std::numeric_limits<double>::infinity();
+  std::optional<Placement> best_placement;
+  int best_variant = -1;
+  for (int variant = -1; variant < n_variants; ++variant) {
+    const Constraint& constraint = task.implementation_constraint(variant);
+    if (constraint.nodes > 1) {
+      std::vector<int> excluded = task.excluded_nodes;
+      if (health)
+        for (std::size_t node = 0; node < resources.node_count(); ++node)
+          if (!health->allow_placement(node)) excluded.push_back(static_cast<int>(node));
+      if (auto probe = resources.try_allocate_multi(constraint, excluded)) {
+        const double seconds = estimated_seconds(
+            task, variant, *probe, spec.nodes[static_cast<std::size_t>(probe->node)]);
         if (seconds < best_fitting) {
           if (best_placement) resources.release(*best_placement);
           best_fitting = seconds;
@@ -333,18 +188,31 @@ std::vector<Dispatch> CostAwareScheduler::schedule(const std::vector<TaskId>& re
           resources.release(*probe);
         }
       }
-    }
-
-    if (!best_placement) continue;
-    if (best_fitting > kSpillFactor * best_possible) {
-      // Too slow compared to what freeing resources will offer: wait.
-      resources.release(*best_placement);
       continue;
     }
-    out.push_back(
-        Dispatch{.task = id, .placement = std::move(*best_placement), .variant = best_variant});
+    for (std::size_t node = 0; node < resources.node_count(); ++node) {
+      if (node_excluded(task, node) || !health_allows(health, node)) continue;
+      auto probe = resources.try_allocate(node, constraint);
+      if (!probe) continue;
+      const double seconds = estimated_seconds(task, variant, *probe, spec.nodes[node]);
+      if (seconds < best_fitting) {
+        if (best_placement) resources.release(*best_placement);
+        best_fitting = seconds;
+        best_placement = std::move(*probe);
+        best_variant = variant;
+      } else {
+        resources.release(*probe);
+      }
+    }
   }
-  return out;
+
+  if (!best_placement) return std::nullopt;
+  if (best_fitting > kSpillFactor * best_possible) {
+    // Too slow compared to what freeing resources will offer: wait.
+    resources.release(*best_placement);
+    return std::nullopt;
+  }
+  return Dispatch{.task = task.id, .placement = std::move(*best_placement), .variant = best_variant};
 }
 
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name) {

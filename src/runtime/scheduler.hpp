@@ -1,12 +1,14 @@
 // Scheduling policies.
 //
-// Given the set of ready tasks and the current resource occupancy, a policy
-// decides which task to place where. All policies honour the COMPSs
-// priority hint (priority tasks jump the queue) and never oversubscribe —
-// ResourceState is the single source of truth for slot ownership.
+// The engine offers a policy one ready task at a time, in the order the
+// policy asks for (order_sensitive), and the policy decides where that task
+// goes given the current resource occupancy. All policies but Fifo honour
+// the COMPSs priority hint (priority tasks jump the queue), and none
+// oversubscribes — ResourceState is the single source of truth for slot
+// ownership.
 //
 // Policies provided:
-//  * FifoScheduler      — submission order, first node that fits.
+//  * FifoScheduler      — ready-push order, first node that fits.
 //  * PriorityScheduler  — priority flag first, then submission order
 //                         (the COMPSs default; used by all paper figures).
 //  * LocalityScheduler  — like Priority, but among fitting nodes prefers the
@@ -15,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,19 +46,21 @@ class Scheduler {
   virtual ~Scheduler() = default;
   virtual std::string name() const = 0;
 
-  /// Place as many ready tasks as resources allow. `ready` is in submission
-  /// order. Allocations are made through `resources` (and must be released
-  /// by the caller when tasks finish). Tasks with excluded nodes are never
-  /// placed there.
-  virtual std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
-                                         ResourceState& resources) = 0;
+  /// Place one ready task now: the first implementation (primary, then
+  /// @implement variants in order) that fits on the first node that takes
+  /// it. Allocations are made through `resources` (and must be released by
+  /// the caller when the task finishes). Never places on the task's
+  /// excluded nodes, nor on nodes `health` disallows (nullptr: no gating).
+  /// Returns nullopt when nothing fits. Which ready task is offered next is
+  /// the engine's decision, made from order_sensitive().
+  virtual std::optional<Dispatch> place(const TaskRecord& task, const TaskGraph& graph,
+                                        ResourceState& resources, const NodeHealth* health);
 
-  /// True iff this policy consumes `ready` in the order given. Policies
-  /// that re-sort by (priority, id) — everything except Fifo — return
-  /// false, which lets the engine skip the O(tasks × studies) fair-share
-  /// interleave on the storm hot path: the sort would erase the interleave
-  /// anyway, so only *membership* (pause / max_running truncation) has to
-  /// be computed.
+  /// True iff the engine offers ready tasks in push order, interleaved
+  /// across studies by weighted fair-share deficit (Fifo). Every other
+  /// policy is offered tasks by (priority desc, id asc) across all studies,
+  /// which leaves fair-share weights no say in the order: under priority,
+  /// locality and cost-aware only pause and max_running act per study.
   virtual bool order_sensitive() const { return false; }
 
   /// Health-gated placement: when a tracker is set, nodes it disallows
@@ -63,14 +68,13 @@ class Scheduler {
   /// placements. Nullptr disables gating.
   void set_health(const NodeHealth* health) { health_ = health; }
 
- protected:
-  /// The tracker to gate this round with, or nullptr when gating would
-  /// block *every* node — a fully quarantined cluster must still make
+  /// The tracker to gate one scheduling pass with, or nullptr when gating
+  /// would block *every* node — a fully quarantined cluster must still make
   /// progress, so gating falls away rather than deadlocking.
   /// Note: the per-node concurrency cap is enforced against in-flight
-  /// counts updated at dispatch conclusion; a single scheduling round may
-  /// place a small batch above the cap. Accepted — the cap is a throttle,
-  /// not a hard isolation boundary.
+  /// counts the engine updates when it registers a pass's placements; a
+  /// single pass may place a small batch above the cap. Accepted — the cap
+  /// is a throttle, not a hard isolation boundary.
   const NodeHealth* effective_health(const ResourceState& resources) const {
     if (!health_) return nullptr;
     for (std::size_t node = 0; node < resources.node_count(); ++node)
@@ -78,6 +82,7 @@ class Scheduler {
     return nullptr;
   }
 
+ protected:
   const NodeHealth* health_ = nullptr;
 };
 
@@ -85,22 +90,18 @@ class FifoScheduler : public Scheduler {
  public:
   std::string name() const override { return "fifo"; }
   bool order_sensitive() const override { return true; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
-                                 ResourceState& resources) override;
 };
 
 class PriorityScheduler : public Scheduler {
  public:
   std::string name() const override { return "priority"; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
-                                 ResourceState& resources) override;
 };
 
 class LocalityScheduler : public Scheduler {
  public:
   std::string name() const override { return "locality"; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
-                                 ResourceState& resources) override;
+  std::optional<Dispatch> place(const TaskRecord& task, const TaskGraph& graph,
+                                ResourceState& resources, const NodeHealth* health) override;
 };
 
 /// Duration-aware implementation selection: among the (implementation,
@@ -111,8 +112,8 @@ class LocalityScheduler : public Scheduler {
 class CostAwareScheduler : public Scheduler {
  public:
   std::string name() const override { return "cost-aware"; }
-  std::vector<Dispatch> schedule(const std::vector<TaskId>& ready, const TaskGraph& graph,
-                                 ResourceState& resources) override;
+  std::optional<Dispatch> place(const TaskRecord& task, const TaskGraph& graph,
+                                ResourceState& resources, const NodeHealth* health) override;
 };
 
 /// Factory by name: "fifo", "priority", "locality", "cost-aware".

@@ -1,9 +1,8 @@
 // Sharded work-stealing executor for the threaded backend's dispatch path.
 //
-// ThreadPool funnels every job through one mutex-guarded deque and a
-// std::function allocation per submit; under a task storm that single lock
-// and those per-dispatch allocations dominate the hot path. StealPool keeps
-// one queue per worker — dispatches shard by placement node, so a node's
+// A single mutex-guarded job deque with a std::function allocation per
+// submit would put one contended lock and one allocation on every dispatch
+// of a task storm. StealPool keeps one queue per worker — dispatches shard by placement node, so a node's
 // tasks land together — and lets an idle worker steal from the back of any
 // other queue. The common case is an uncontended push and pop on distinct
 // mutexes, and the job payload is a plain struct moved through a function

@@ -9,7 +9,7 @@
 // observes another's early stop, kill, or fault.
 //
 // The handle is a cheap copyable (Runtime*, StudyId) pair. It does not own
-// the Runtime: whoever built the Runtime (an application, optimize(), or
+// the Runtime: whoever built the Runtime (an application or
 // service::StudyManager) must keep it alive for as long as any session
 // handle is in use. All calls happen on the coordinator thread, exactly
 // like direct Runtime calls — sessions make ownership *logical*, not

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 #include "hpo/algorithms.hpp"
 
@@ -16,6 +17,13 @@ SearchSpace listing1_space() {
     "num_epochs": [20, 50, 100],
     "batch_size": [32, 64, 128]
   })");
+}
+
+TEST(MakeSearchAlgorithm, BuildsEveryPointSearchByName) {
+  const SearchSpace space = listing1_space();
+  for (const char* name : {"grid", "random", "gp", "tpe"})
+    EXPECT_NE(make_search_algorithm(name, space, 4, 1), nullptr) << name;
+  EXPECT_THROW(make_search_algorithm("simulated-annealing", space, 4, 1), std::invalid_argument);
 }
 
 TEST(Grid, DrainsExactlyTheCrossProduct) {

@@ -1,4 +1,4 @@
-// Tests for the one-call optimize() facade and trial checkpointing.
+// Tests for trial checkpointing: the file format and driver replay.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -7,7 +7,8 @@
 
 #include "hpo/algorithms.hpp"
 #include "hpo/checkpoint.hpp"
-#include "hpo/optimize.hpp"
+#include "hpo/driver.hpp"
+#include "runtime/runtime.hpp"
 
 namespace chpo::hpo {
 namespace {
@@ -17,46 +18,6 @@ constexpr const char* kSpace = R"({
   "num_epochs": [1, 2],
   "batch_size": [16]
 })";
-
-TEST(Optimize, GridRunsEverything) {
-  const ml::Dataset dataset = ml::make_mnist_like(80, 30, 1);
-  const HpoOutcome outcome = optimize(dataset, kSpace, "grid", {.seed = 5});
-  EXPECT_EQ(outcome.trials.size(), 4u);
-  EXPECT_NE(outcome.best(), nullptr);
-}
-
-TEST(Optimize, RandomHonoursBudget) {
-  const ml::Dataset dataset = ml::make_mnist_like(60, 20, 2);
-  const HpoOutcome outcome =
-      optimize(dataset, kSpace, "random", {.budget = 3, .epoch_cap = 1, .seed = 5});
-  EXPECT_EQ(outcome.trials.size(), 3u);
-}
-
-TEST(Optimize, ModelBasedAlgorithmsWork) {
-  const ml::Dataset dataset = ml::make_mnist_like(60, 20, 3);
-  SearchSpace space;
-  space.add_float("learning_rate", 1e-4, 1e-1, true);
-  for (const char* algorithm : {"gp", "tpe"}) {
-    const HpoOutcome outcome =
-        optimize(dataset, space, algorithm, {.budget = 4, .epoch_cap = 1, .seed = 5});
-    EXPECT_EQ(outcome.trials.size(), 4u) << algorithm;
-  }
-}
-
-TEST(Optimize, StopOnAccuracy) {
-  const ml::Dataset dataset = ml::make_mnist_like(300, 100, 4);
-  OptimizeOptions options;
-  options.stop_on_accuracy = 0.3;
-  options.epoch_cap = 3;
-  const HpoOutcome outcome = optimize(dataset, kSpace, "grid", options);
-  EXPECT_TRUE(outcome.stopped_early);
-}
-
-TEST(Optimize, UnknownAlgorithmThrows) {
-  const ml::Dataset dataset = ml::make_mnist_like(20, 10, 5);
-  EXPECT_THROW(optimize(dataset, kSpace, "simulated-annealing", {}), std::invalid_argument);
-  EXPECT_THROW(optimize(dataset, "not json", "grid", {}), json::JsonError);
-}
 
 // ------------------------------------------------------------ checkpoint
 

@@ -128,6 +128,7 @@ TEST(SearchSpace, EncodeIsDeterministicPerConfig) {
 }
 
 TEST(SearchSpace, MalformedJsonRejected) {
+  EXPECT_THROW(SearchSpace::from_json_text("not json"), json::JsonError);
   EXPECT_THROW(SearchSpace::from_json_text("{}"), json::JsonError);
   EXPECT_THROW(SearchSpace::from_json_text(R"({"a": []})"), json::JsonError);
   EXPECT_THROW(SearchSpace::from_json_text(R"({"a": 5})"), json::JsonError);

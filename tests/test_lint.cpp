@@ -259,6 +259,20 @@ TEST(HotPathStdFunction, FlagsAllocationInPerDispatchMethods) {
   EXPECT_NE(hits[2].message.find("ThreadBackend::run_job"), std::string::npos);
 }
 
+TEST(HotPathStdFunction, FlagsThePullLoop) {
+  // place_ready offers every ready candidate of a scheduling pass to the
+  // placement policy; a per-candidate std::function is a per-task cost.
+  const auto findings = lint_files(
+      {{"src/runtime/engine.cpp",
+        "void Engine::place_ready(double now, const std::set<TaskId>& held) {\n"
+        "  std::function<bool(TaskId)> fits = [&](TaskId id) { return true; };\n"
+        "}\n"}});
+  const auto hits = of_rule(findings, "hot-path-std-function");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 2);
+  EXPECT_NE(hits[0].message.find("Engine::place_ready"), std::string::npos);
+}
+
 TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {
   // drive() takes a std::function once per wait (its own definition line —
   // the method tracker must attribute it to drive, not the previous hot

@@ -1,7 +1,10 @@
-// Unit tests for the scheduling policies.
+// Unit tests for the scheduling policies: per-task placement, and the
+// order in which the engine offers ready tasks to each policy.
 #include <gtest/gtest.h>
 
+#include "runtime/runtime.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/study_session.hpp"
 
 namespace chpo::rt {
 namespace {
@@ -21,40 +24,90 @@ struct SchedulerFixture : ::testing::Test {
   TaskGraph graph;
 };
 
-TEST_F(SchedulerFixture, FifoPlacesInSubmissionOrder) {
-  ResourceState rs(cluster::marenostrum4(1));
-  std::vector<TaskId> ready{add({.cpus = 24}), add({.cpus = 24}), add({.cpus = 24})};
-  FifoScheduler fifo;
-  const auto dispatches = fifo.schedule(ready, graph, rs);
-  ASSERT_EQ(dispatches.size(), 2u);  // third doesn't fit
-  EXPECT_EQ(dispatches[0].task, ready[0]);
-  EXPECT_EQ(dispatches[1].task, ready[1]);
+// ---------------------------------------------------------------------------
+// Offer order: the engine pulls ready tasks in the policy's order
+// ---------------------------------------------------------------------------
+
+/// Tasks of a simulated run on one MareNostrum4 node (48 cores), in the
+/// order they were dispatched: two 24-core tasks fit at t=0 and the third
+/// starts when one of them finishes. The third submitted task carries the
+/// priority hint.
+std::vector<TaskId> dispatch_order(const std::string& scheduler) {
+  RuntimeOptions options;
+  options.cluster = cluster::marenostrum4(1);
+  options.simulate = true;
+  options.scheduler = scheduler;
+  Runtime runtime(std::move(options));
+  std::vector<Runtime::BatchItem> wave;
+  for (int i = 0; i < 3; ++i) {
+    TaskDef def;
+    def.name = "half_node";
+    def.constraint = {.cpus = 24};
+    def.priority = i == 2;
+    def.cost = [](const Placement&, const cluster::NodeSpec&) { return 10.0; };
+    wave.push_back(Runtime::BatchItem{.def = std::move(def)});
+  }
+  const std::vector<Future> futures = runtime.submit_batch(std::move(wave));
+  runtime.barrier();
+  std::vector<TaskId> order;
+  std::vector<double> starts;
+  for (const trace::Event& e : runtime.trace().events()) {
+    if (e.kind != trace::EventKind::TaskSchedule) continue;
+    order.push_back(e.task_id);
+    starts.push_back(e.t_start);
+  }
+  EXPECT_EQ(starts, (std::vector<double>{0.0, 0.0, 10.0}));
+  for (TaskId& id : order) id -= futures.front().producer;  // submission index
+  return order;
 }
 
-TEST_F(SchedulerFixture, PrioritySchedulerJumpsQueue) {
-  ResourceState rs(cluster::marenostrum4(1));
-  const TaskId normal1 = add({.cpus = 24});
-  const TaskId normal2 = add({.cpus = 24});
-  const TaskId urgent = add({.cpus = 24}, /*priority=*/true);
-  PriorityScheduler sched;
-  const auto dispatches = sched.schedule({normal1, normal2, urgent}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 2u);
-  EXPECT_EQ(dispatches[0].task, urgent);  // priority first
-  EXPECT_EQ(dispatches[1].task, normal1);
+TEST(OfferOrder, FifoPlacesInSubmissionOrder) {
+  EXPECT_EQ(dispatch_order("fifo"), (std::vector<TaskId>{0, 1, 2}));  // hint ignored
 }
+
+TEST(OfferOrder, PrioritySchedulerJumpsQueue) {
+  EXPECT_EQ(dispatch_order("priority"), (std::vector<TaskId>{2, 0, 1}));  // priority first
+}
+
+TEST(OfferOrder, CappedStudyAdmitsInPriorityOrder) {
+  // A max_running cap of 1 admits one task per round, and the priority
+  // scheduler takes it by (priority, id): the urgent task submitted second
+  // runs first, the normal one after it.
+  RuntimeOptions options;
+  options.cluster = cluster::marenostrum4(1);
+  options.simulate = true;
+  Runtime runtime(std::move(options));
+  StudySession capped = runtime.open_study({.name = "capped", .max_running = 1});
+  TaskDef def;
+  def.name = "one_core";
+  def.cost = [](const Placement&, const cluster::NodeSpec&) { return 10.0; };
+  const Future normal = capped.submit(def);
+  def.priority = true;
+  const Future urgent = capped.submit(def);
+  capped.barrier();
+  std::vector<std::pair<TaskId, double>> schedules;
+  for (const trace::Event& e : runtime.trace().events())
+    if (e.kind == trace::EventKind::TaskSchedule) schedules.emplace_back(e.task_id, e.t_start);
+  EXPECT_EQ(schedules, (std::vector<std::pair<TaskId, double>>{{urgent.producer, 0.0},
+                                                              {normal.producer, 10.0}}));
+}
+
+// ---------------------------------------------------------------------------
+// Placement of one offered task
+// ---------------------------------------------------------------------------
 
 TEST_F(SchedulerFixture, FillsMultipleNodes) {
   ResourceState rs(cluster::marenostrum4(3));
-  std::vector<TaskId> ready;
-  for (int i = 0; i < 3; ++i) ready.push_back(add({.cpus = 48}));
   PriorityScheduler sched;
-  const auto dispatches = sched.schedule(ready, graph, rs);
-  ASSERT_EQ(dispatches.size(), 3u);
   // One node-filling task each.
   std::vector<int> nodes;
-  for (const auto& d : dispatches) nodes.push_back(d.placement.node);
-  std::sort(nodes.begin(), nodes.end());
+  for (int i = 0; i < 3; ++i) {
+    const auto dispatch = sched.place(graph.task(add({.cpus = 48})), graph, rs, nullptr);
+    ASSERT_TRUE(dispatch);
+    nodes.push_back(dispatch->placement.node);
+  }
   EXPECT_EQ(nodes, (std::vector<int>{0, 1, 2}));
+  EXPECT_FALSE(rs.any_free_slot());
 }
 
 TEST_F(SchedulerFixture, RespectsExcludedNodes) {
@@ -62,9 +115,10 @@ TEST_F(SchedulerFixture, RespectsExcludedNodes) {
   const TaskId t = add({.cpus = 1});
   graph.task(t).excluded_nodes.push_back(0);
   PriorityScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 1u);
-  EXPECT_EQ(dispatches[0].placement.node, 1);
+  const auto dispatch = sched.place(graph.task(t), graph, rs, nullptr);
+  ASSERT_TRUE(dispatch);
+  EXPECT_EQ(dispatch->task, t);
+  EXPECT_EQ(dispatch->placement.node, 1);
 }
 
 TEST_F(SchedulerFixture, AllNodesExcludedMeansNoPlacement) {
@@ -72,7 +126,7 @@ TEST_F(SchedulerFixture, AllNodesExcludedMeansNoPlacement) {
   const TaskId t = add({.cpus = 1});
   graph.task(t).excluded_nodes.push_back(0);
   PriorityScheduler sched;
-  EXPECT_TRUE(sched.schedule({t}, graph, rs).empty());
+  EXPECT_FALSE(sched.place(graph.task(t), graph, rs, nullptr));
 }
 
 TEST_F(SchedulerFixture, LocalitySchedulerPrefersDataHolder) {
@@ -95,18 +149,18 @@ TEST_F(SchedulerFixture, LocalitySchedulerPrefersDataHolder) {
   graph.task(t).deps_remaining = 0;
 
   LocalityScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 1u);
-  EXPECT_EQ(dispatches[0].placement.node, 2);
+  const auto dispatch = sched.place(graph.task(t), graph, rs, nullptr);
+  ASSERT_TRUE(dispatch);
+  EXPECT_EQ(dispatch->placement.node, 2);
 }
 
 TEST_F(SchedulerFixture, LocalityFallsBackToFirstFit) {
   ResourceState rs(cluster::marenostrum4(2));
   const TaskId t = add({.cpus = 1});  // no inputs at all
   LocalityScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 1u);
-  EXPECT_EQ(dispatches[0].placement.node, 0);
+  const auto dispatch = sched.place(graph.task(t), graph, rs, nullptr);
+  ASSERT_TRUE(dispatch);
+  EXPECT_EQ(dispatch->placement.node, 0);
 }
 
 TEST_F(SchedulerFixture, PlaceFirstFitHelper) {
@@ -145,9 +199,9 @@ TEST_F(SchedulerFixture, CostAwarePicksFastestNode) {
   def.cost = [](const Placement&, const cluster::NodeSpec& node) { return 100.0 / node.core_rate; };
   const TaskId t = graph.add_task(def, {});
   CostAwareScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 1u);
-  EXPECT_EQ(dispatches[0].placement.node, 1);  // first-fit would pick node 0
+  const auto dispatch = sched.place(graph.task(t), graph, rs, nullptr);
+  ASSERT_TRUE(dispatch);
+  EXPECT_EQ(dispatch->placement.node, 1);  // first-fit would pick node 0
 }
 
 TEST_F(SchedulerFixture, CostAwareDefersSlowFallbackWhileFastIsBusy) {
@@ -176,13 +230,13 @@ TEST_F(SchedulerFixture, CostAwareDefersSlowFallbackWhileFastIsBusy) {
 
   CostAwareScheduler sched;
   // GPU busy, CPU fallback 10x worse than best possible: defer.
-  EXPECT_TRUE(sched.schedule({t}, graph, rs).empty());
+  EXPECT_FALSE(sched.place(graph.task(t), graph, rs, nullptr));
   // Once the GPU frees, the primary implementation is taken.
   rs.release(*held);
-  const auto dispatches = sched.schedule({t}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 1u);
-  EXPECT_EQ(dispatches[0].variant, -1);
-  EXPECT_EQ(dispatches[0].placement.gpus.size(), 1u);
+  const auto dispatch = sched.place(graph.task(t), graph, rs, nullptr);
+  ASSERT_TRUE(dispatch);
+  EXPECT_EQ(dispatch->variant, -1);
+  EXPECT_EQ(dispatch->placement.gpus.size(), 1u);
 }
 
 TEST_F(SchedulerFixture, CostAwareSpillsWhenFallbackIsCompetitive) {
@@ -207,21 +261,20 @@ TEST_F(SchedulerFixture, CostAwareSpillsWhenFallbackIsCompetitive) {
   def.variants.push_back(std::move(cpu));
   const TaskId t = graph.add_task(def, {});
   CostAwareScheduler sched;
-  const auto dispatches = sched.schedule({t}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 1u);
-  EXPECT_EQ(dispatches[0].variant, 0);  // took the CPU fallback
+  const auto dispatch = sched.place(graph.task(t), graph, rs, nullptr);
+  ASSERT_TRUE(dispatch);
+  EXPECT_EQ(dispatch->variant, 0);  // took the CPU fallback
   rs.release(*held);
 }
 
 TEST_F(SchedulerFixture, CostAwareWithoutCostModelsActsLikeFirstFit) {
   ResourceState rs(cluster::marenostrum4(2));
-  const TaskId a = add({.cpus = 1});
-  const TaskId b = add({.cpus = 1});
   CostAwareScheduler sched;
-  const auto dispatches = sched.schedule({a, b}, graph, rs);
-  ASSERT_EQ(dispatches.size(), 2u);
-  EXPECT_EQ(dispatches[0].placement.node, 0);
-  EXPECT_EQ(dispatches[1].placement.node, 0);
+  for (int i = 0; i < 2; ++i) {
+    const auto dispatch = sched.place(graph.task(add({.cpus = 1})), graph, rs, nullptr);
+    ASSERT_TRUE(dispatch);
+    EXPECT_EQ(dispatch->placement.node, 0);
+  }
 }
 
 TEST_F(SchedulerFixture, GridOf27OnHalfNodeStarts24) {
@@ -230,11 +283,12 @@ TEST_F(SchedulerFixture, GridOf27OnHalfNodeStarts24) {
   spec.worker_placement = cluster::WorkerPlacement::SharedCores;
   spec.worker_cores = 24;
   ResourceState rs(spec);
-  std::vector<TaskId> ready;
-  for (int i = 0; i < 27; ++i) ready.push_back(add({.cpus = 1}));
   PriorityScheduler sched;
-  const auto dispatches = sched.schedule(ready, graph, rs);
-  EXPECT_EQ(dispatches.size(), 24u);
+  std::size_t placed = 0;
+  for (int i = 0; i < 27; ++i)
+    if (sched.place(graph.task(add({.cpus = 1})), graph, rs, nullptr)) ++placed;
+  EXPECT_EQ(placed, 24u);
+  EXPECT_FALSE(rs.any_free_slot());
 }
 
 }  // namespace

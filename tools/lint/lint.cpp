@@ -545,9 +545,9 @@ void rule_lock_rank_order(const std::vector<SourceFile>& files,
 /// wait, not once per task — and stay off this list.
 bool hot_path_method(const std::string& qualifier, const std::string& name) {
   if (qualifier == "Engine") {
-    static const char* kHot[] = {"on_submitted",    "on_submitted_batch", "make_ready",
-                                 "push_ready",      "remove_from_ready",  "schedule",
-                                 "apply_study_policy", "register_attempt", "prepare_body",
+    static const char* kHot[] = {"on_submitted",     "on_submitted_batch", "make_ready",
+                                 "push_ready",       "remove_from_ready",  "schedule",
+                                 "place_ready",      "register_attempt",   "prepare_body",
                                  "complete_attempt", "conclude_attempt"};
     for (const char* method : kHot)
       if (name == method) return true;
