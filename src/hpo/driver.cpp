@@ -1,14 +1,9 @@
 #include "hpo/driver.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <limits>
-#include <optional>
 
-#include "hpo/checkpoint.hpp"
 #include "hpo/study_run.hpp"
 #include "reuse/stage_key.hpp"
-#include "support/log.hpp"
 
 namespace chpo::hpo {
 
@@ -101,14 +96,8 @@ HpoDriver::HpoDriver(rt::StudySession session, const ml::Dataset& dataset,
     : session_(session), dataset_(dataset), options_(std::move(options)) {}
 
 HpoOutcome HpoDriver::run(SearchAlgorithm& algorithm) {
-  // Blocking convenience: drive a private StudyRun pump to exhaustion.
-  // Multi-study coordination lives in service::StudyManager, which drives
-  // several pumps through one wait_any instead.
   StudyRun run(session_, dataset_, options_, algorithm);
-  run.start();
-  while (run.active() && !run.inflight().empty())
-    run.on_trial_complete(session_.wait_any(run.inflight()));
-  return run.finish();
+  return drive_to_completion(session_, run);
 }
 
 }  // namespace chpo::hpo

@@ -8,7 +8,6 @@
 // same Runtime.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "hpo/search_space.hpp"
 #include "ml/dataset.hpp"
 #include "reuse/planner.hpp"
-#include "reuse/result_cache.hpp"
 #include "runtime/study_session.hpp"
 
 namespace chpo::hpo {
@@ -46,15 +44,12 @@ struct HalvingOutcome {
   std::optional<reuse::ReuseReport> reuse;
 };
 
-/// Run successive halving over random samples of `space`. `cache` lets
-/// callers (hyperband, repeated sessions) share one result cache across
-/// brackets; pass nullptr to create one from the driver's ReusePolicy.
-/// Like HpoDriver, halving runs through a StudySession (a tagged view of a
-/// shared Runtime) — blocking convenience over the HalvingRun state
-/// machine in study_run.hpp.
+/// Run successive halving over random samples of `space`: a one-bracket
+/// hyperband. Like HpoDriver, halving runs through a StudySession (a
+/// tagged view of a shared Runtime) — blocking convenience over the
+/// HyperbandRun state machine in study_run.hpp.
 HalvingOutcome successive_halving(rt::StudySession session, const ml::Dataset& dataset,
-                                  const SearchSpace& space, const HalvingOptions& options,
-                                  std::shared_ptr<reuse::ResultCache> cache = nullptr);
+                                  const SearchSpace& space, const HalvingOptions& options);
 
 /// Full Hyperband (Li et al. 2018): runs s_max+1 successive-halving
 /// brackets trading off the number of configurations against the starting
@@ -79,5 +74,10 @@ struct HyperbandOutcome {
 
 HyperbandOutcome hyperband(rt::StudySession session, const ml::Dataset& dataset,
                            const SearchSpace& space, const HyperbandOptions& options);
+
+/// The s_max+1 brackets hyperband runs, most exploratory first, where
+/// s_max is the largest integer s with eta^s <= max_epochs. Throws
+/// std::invalid_argument on a non-positive budget or eta <= 1.
+std::vector<HalvingOptions> hyperband_plan(const HyperbandOptions& options);
 
 }  // namespace chpo::hpo

@@ -44,20 +44,21 @@ std::string attempt_stats(const std::vector<trace::Event>& events) {
     double busy_seconds = 0.0;
   };
   std::map<std::string, Stats> by_name;
+  // Only attempt events make a row: study lifecycle events carry the
+  // study's name in task_name too.
   for (const trace::Event& e : events) {
     if (e.task_name.empty()) continue;
-    Stats& s = by_name[e.task_name];
     switch (e.kind) {
       case trace::EventKind::TaskRun:
-        ++s.runs;
-        s.busy_seconds += e.t_end - e.t_start;
+        ++by_name[e.task_name].runs;
+        by_name[e.task_name].busy_seconds += e.t_end - e.t_start;
         break;
-      case trace::EventKind::TaskFailure: ++s.failures; break;
-      case trace::EventKind::TaskRetry: ++s.retries; break;
-      case trace::EventKind::StragglerDetected: ++s.stragglers; break;
-      case trace::EventKind::SpeculativeLaunch: ++s.spec_launches; break;
-      case trace::EventKind::SpeculativeWin: ++s.spec_wins; break;
-      case trace::EventKind::Backoff: ++s.backoffs; break;
+      case trace::EventKind::TaskFailure: ++by_name[e.task_name].failures; break;
+      case trace::EventKind::TaskRetry: ++by_name[e.task_name].retries; break;
+      case trace::EventKind::StragglerDetected: ++by_name[e.task_name].stragglers; break;
+      case trace::EventKind::SpeculativeLaunch: ++by_name[e.task_name].spec_launches; break;
+      case trace::EventKind::SpeculativeWin: ++by_name[e.task_name].spec_wins; break;
+      case trace::EventKind::Backoff: ++by_name[e.task_name].backoffs; break;
       default: break;
     }
   }

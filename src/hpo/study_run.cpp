@@ -63,6 +63,13 @@ void finalise_outcome(HpoOutcome& outcome, double t0, double now) {
   }
 }
 
+/// Most recent trial of the latest rung that has one.
+const Trial* last_of(const std::vector<RungResult>& rungs) {
+  for (auto it = rungs.rbegin(); it != rungs.rend(); ++it)
+    if (!it->trials.empty()) return &it->trials.back();
+  return nullptr;
+}
+
 }  // namespace
 
 bool TrialPump::owns(const rt::Future& finished) const {
@@ -84,9 +91,9 @@ bool StudyRun::stop_hit(const Trial& trial) const {
          trial.result.final_val_accuracy >= options_.stop_on_accuracy;
 }
 
-void StudyRun::record_replayed(const Config& config, const ml::TrainResult& result) {
+void StudyRun::record_replayed(int index, const Config& config, const ml::TrainResult& result) {
   Trial trial;
-  trial.index = next_index_++;
+  trial.index = index;
   trial.config = config;
   trial.result = result;
   algorithm_.tell(trial.config, trial.result.final_val_accuracy);
@@ -145,7 +152,7 @@ void StudyRun::top_up() {
       break;
     }
     if (const Trial* previous = find_completed(restored_, *config)) {
-      record_replayed(*config, previous->result);
+      record_replayed(next_index_++, *config, previous->result);
       continue;
     }
     InFlight f;
@@ -158,17 +165,7 @@ void StudyRun::top_up() {
       std::vector<reuse::SubmittedTrial> submitted = executor_->submit({req});
       if (!submitted.empty() && submitted.front().replayed) {
         // Served entirely by the result cache; next_index_ already moved on.
-        Trial trial;
-        trial.index = f.index;
-        trial.config = *config;
-        trial.result = *submitted.front().replayed;
-        algorithm_.tell(trial.config, trial.result.final_val_accuracy);
-        ++replayed_;
-        outcome_.trials.push_back(std::move(trial));
-        if (stop_hit(outcome_.trials.back())) {
-          stopped_ = true;
-          cancel_outstanding();
-        }
+        record_replayed(f.index, *config, *submitted.front().replayed);
         continue;
       }
       f.future = submitted.front().future;
@@ -193,7 +190,7 @@ void StudyRun::start_batch_reuse() {
     const std::optional<Config> config = algorithm_.next();
     if (!config) break;
     if (const Trial* previous = find_completed(restored_, *config)) {
-      record_replayed(*config, previous->result);
+      record_replayed(next_index_++, *config, previous->result);
       continue;
     }
     reuse::TrialRequest req;
@@ -208,17 +205,8 @@ void StudyRun::start_batch_reuse() {
   for (std::size_t i = 0; i < submitted.size(); ++i) {
     const reuse::SubmittedTrial& s = submitted[i];
     if (s.replayed) {
-      Trial trial;
-      trial.index = s.index;
-      trial.config = request_configs[i];
-      trial.result = *s.replayed;
-      algorithm_.tell(trial.config, trial.result.final_val_accuracy);
-      outcome_.trials.push_back(std::move(trial));
-      if (stop_hit(outcome_.trials.back())) {
-        stopped_ = true;
-        cancel_outstanding();
-        return;
-      }
+      record_replayed(s.index, request_configs[i], *s.replayed);
+      if (stopped_) return;
       continue;
     }
     InFlight f;
@@ -322,14 +310,74 @@ HpoOutcome StudyRun::finish() {
 // HalvingRun
 // ---------------------------------------------------------------------------
 
-HalvingRun::HalvingRun(rt::StudySession session, const ml::Dataset& dataset, SearchSpace space,
-                       HalvingOptions options, std::shared_ptr<reuse::ResultCache> cache)
+/// One successive-halving bracket: rungs of budgeted experiment tasks,
+/// consumed as-completed, the top 1/eta promoted between rungs. Not a pump
+/// of its own: HyperbandRun steps through a plan of brackets, and
+/// successive halving is a plan of one.
+class HalvingRun {
+ public:
+  /// `space` must outlive the bracket. `cache` is non-null iff the bracket
+  /// trains through the stage executor (reuse on, no cross-validation).
+  HalvingRun(rt::StudySession session, const ml::Dataset& dataset, const SearchSpace& space,
+             HalvingOptions options, std::shared_ptr<reuse::ResultCache> cache);
+
+  void start();
+  bool active() const { return !stopped_ && !done_; }
+  const std::vector<rt::Future>& inflight() const { return inflight_futures_; }
+  void on_trial_complete(const rt::Future& finished);
+  std::size_t trials_done() const;
+  const Trial* last_trial() const;
+  void set_refill_paused(bool paused);
+  void abandon();
+  /// Settle elapsed time and reuse accounting; returns the per-rung view.
+  HalvingOutcome finish();
+
+ private:
+  /// Submit the current survivors at the current epoch budget. Fully
+  /// replayed rungs close immediately (and may cascade into later rungs).
+  void submit_rung();
+  /// Rank the finished rung, promote the top 1/eta, advance the budget.
+  void close_rung();
+  void rebuild_futures();
+
+  rt::StudySession session_;
+  const ml::Dataset& dataset_;
+  const SearchSpace& space_;
+  HalvingOptions options_;
+  Rng rng_;
+  std::optional<reuse::StageExecutor> executor_;
+  double t0_ = 0.0;
+  HalvingOutcome outcome_;
+  std::vector<Config> survivors_;
+  int epochs_ = 0;
+  int rung_index_ = 0;
+  RungResult rung_;
+  std::vector<std::pair<Config, rt::Future>> submitted_;
+  std::vector<std::pair<std::size_t, rt::Future>> outstanding_;
+  std::vector<rt::Future> inflight_futures_;
+  bool done_ = false;
+  bool stopped_ = false;
+  bool refill_paused_ = false;
+  /// Rung promotion deferred by a pause (resume submits it).
+  bool rung_pending_ = false;
+};
+
+HalvingRun::HalvingRun(rt::StudySession session, const ml::Dataset& dataset,
+                       const SearchSpace& space, HalvingOptions options,
+                       std::shared_ptr<reuse::ResultCache> cache)
     : session_(session),
       dataset_(dataset),
-      space_(std::move(space)),
+      space_(space),
       options_(std::move(options)),
-      rng_(options_.driver.seed ^ 0x4a17f1e5ULL),
-      cache_(std::move(cache)) {}
+      rng_(options_.driver.seed ^ 0x4a17f1e5ULL) {
+  // Reuse mode: each rung is a batch through the stage executor, and all
+  // rungs share one cache — a promoted config's next rung resumes from the
+  // epoch checkpoint the previous rung left behind (deterministic seeds
+  // make the trajectories identical across rungs).
+  if (cache)
+    executor_.emplace(session_, dataset_, options_.driver.reuse, options_.driver.trial_constraint,
+                      options_.driver.workload, std::move(cache));
+}
 
 void HalvingRun::start() {
   if (options_.initial_configs == 0)
@@ -339,16 +387,6 @@ void HalvingRun::start() {
     throw std::invalid_argument("successive_halving: initial epochs must be positive");
 
   t0_ = session_.now();
-  // Reuse mode: each rung is a batch through the stage executor, and all
-  // rungs share one cache — a promoted config's next rung resumes from the
-  // epoch checkpoint the previous rung left behind (deterministic seeds
-  // make the trajectories identical across rungs).
-  if (options_.driver.reuse.enabled && options_.driver.cv_folds <= 1) {
-    if (!cache_) cache_ = std::make_shared<reuse::ResultCache>(options_.driver.reuse);
-    executor_.emplace(session_, dataset_, options_.driver.reuse, options_.driver.trial_constraint,
-                      options_.driver.workload, cache_);
-  }
-
   survivors_.reserve(options_.initial_configs);
   for (std::size_t i = 0; i < options_.initial_configs; ++i)
     survivors_.push_back(space_.sample(rng_));
@@ -410,8 +448,6 @@ void HalvingRun::submit_rung() {
   // immediately — and may cascade through further rungs.
   if (outstanding_.empty()) close_rung();
 }
-
-bool HalvingRun::active() const { return !stopped_ && !done_ && epochs_ > 0; }
 
 void HalvingRun::on_trial_complete(const rt::Future& finished) {
   const auto it = std::find_if(outstanding_.begin(), outstanding_.end(), [&](const auto& entry) {
@@ -482,10 +518,7 @@ std::size_t HalvingRun::trials_done() const {
 }
 
 const Trial* HalvingRun::last_trial() const {
-  if (!rung_.trials.empty()) return &rung_.trials.back();
-  for (auto it = outcome_.rungs.rbegin(); it != outcome_.rungs.rend(); ++it)
-    if (!it->trials.empty()) return &it->trials.back();
-  return nullptr;
+  return rung_.trials.empty() ? last_of(outcome_.rungs) : &rung_.trials.back();
 }
 
 void HalvingRun::set_refill_paused(bool paused) {
@@ -506,33 +539,10 @@ void HalvingRun::abandon() {
   rebuild_futures();
 }
 
-HpoOutcome HalvingRun::finish() {
+HalvingOutcome HalvingRun::finish() {
   if (executor_) outcome_.reuse = executor_->report();
   outcome_.elapsed_seconds = session_.now() - t0_;
-
-  // Flatten rungs into the manager's uniform HpoOutcome view: trials in
-  // rung order with fresh sequential indices.
-  HpoOutcome flat;
-  flat.stopped_early = stopped_;
-  flat.elapsed_seconds = outcome_.elapsed_seconds;
-  flat.reuse = outcome_.reuse;
-  int index = 0;
-  for (const RungResult& rung : outcome_.rungs)
-    for (const Trial& t : rung.trials) {
-      Trial copy = t;
-      copy.index = index++;
-      flat.trials.push_back(std::move(copy));
-    }
-  double best = -1.0;
-  for (std::size_t i = 0; i < flat.trials.size(); ++i) {
-    const Trial& t = flat.trials[i];
-    if (t.failed) continue;
-    if (t.result.final_val_accuracy > best) {
-      best = t.result.final_val_accuracy;
-      flat.best_index = static_cast<int>(i);
-    }
-  }
-  return flat;
+  return std::move(outcome_);
 }
 
 // ---------------------------------------------------------------------------
@@ -540,44 +550,26 @@ HpoOutcome HalvingRun::finish() {
 // ---------------------------------------------------------------------------
 
 HyperbandRun::HyperbandRun(rt::StudySession session, const ml::Dataset& dataset, SearchSpace space,
-                           HyperbandOptions options)
-    : session_(session),
-      dataset_(dataset),
-      space_(std::move(space)),
-      options_(std::move(options)) {}
+                           std::vector<HalvingOptions> plan)
+    : session_(session), dataset_(dataset), space_(std::move(space)), plan_(std::move(plan)) {}
+
+HyperbandRun::~HyperbandRun() = default;
 
 void HyperbandRun::start() {
-  if (options_.max_epochs <= 0)
-    throw std::invalid_argument("hyperband: max_epochs must be positive");
-  if (options_.eta <= 1.0) throw std::invalid_argument("hyperband: eta must exceed 1");
-
+  if (plan_.empty()) throw std::invalid_argument("hyperband: empty bracket plan");
   t0_ = session_.now();
-  const double r_max = static_cast<double>(options_.max_epochs);
-  s_max_ = static_cast<int>(std::floor(std::log(r_max) / std::log(options_.eta)));
-  s_ = s_max_;
   // One cache for all brackets: a config budget reached in an exploratory
   // bracket seeds the checkpoints later brackets resume from.
-  if (options_.driver.reuse.enabled && options_.driver.cv_folds <= 1)
-    cache_ = std::make_shared<reuse::ResultCache>(options_.driver.reuse);
+  const DriverOptions& driver = plan_.front().driver;
+  if (driver.reuse.enabled && driver.cv_folds <= 1)
+    cache_ = std::make_shared<reuse::ResultCache>(driver.reuse);
   start_bracket();
 }
 
 void HyperbandRun::start_bracket() {
-  while (s_ >= 0) {
-    // Bracket s: n = ceil((s_max+1)/(s+1) * eta^s) configs at
-    // r = R / eta^s initial epochs.
-    const double r_max = static_cast<double>(options_.max_epochs);
-    const double eta_s = std::pow(options_.eta, s_);
-    HalvingOptions bracket;
-    bracket.initial_configs = static_cast<std::size_t>(
-        std::ceil(static_cast<double>(s_max_ + 1) / static_cast<double>(s_ + 1) * eta_s));
-    bracket.initial_epochs = std::max(1, static_cast<int>(std::floor(r_max / eta_s)));
-    bracket.eta = options_.eta;
-    bracket.max_epochs = options_.max_epochs;
-    bracket.driver = options_.driver;
-    bracket.driver.seed = options_.driver.seed + static_cast<std::uint64_t>(s_) * 7907ULL;
-
-    bracket_ = std::make_unique<HalvingRun>(session_, dataset_, space_, bracket, cache_);
+  while (next_ < plan_.size()) {
+    bracket_ = std::make_unique<HalvingRun>(session_, dataset_, space_, plan_[next_], cache_);
+    if (refill_paused_) bracket_->set_refill_paused(true);
     bracket_->start();
     if (bracket_->active()) return;  // trials in flight; wait for them
     harvest_bracket();               // fully replayed bracket: move on
@@ -586,8 +578,7 @@ void HyperbandRun::start_bracket() {
 }
 
 void HyperbandRun::harvest_bracket() {
-  bracket_->finish();  // settles reuse/elapsed on the HalvingOutcome
-  HalvingOutcome result = bracket_->outcome();
+  HalvingOutcome result = bracket_->finish();
   bracket_.reset();
   for (const RungResult& rung : result.rungs) outcome_.total_trials += rung.trials.size();
   if (result.best_accuracy > outcome_.best_accuracy) {
@@ -606,12 +597,12 @@ void HyperbandRun::harvest_bracket() {
     outcome_.reuse->planned_epochs += result.reuse->planned_epochs;
   }
   outcome_.brackets.push_back(std::move(result));
-  --s_;
+  ++next_;
 }
 
 bool HyperbandRun::active() const {
   if (stopped_) return false;
-  return bracket_ != nullptr || s_ >= 0;
+  return bracket_ != nullptr || next_ < plan_.size();
 }
 
 const std::vector<rt::Future>& HyperbandRun::inflight() const {
@@ -632,13 +623,17 @@ std::size_t HyperbandRun::trials_done() const {
 }
 
 const Trial* HyperbandRun::last_trial() const {
-  return bracket_ ? bracket_->last_trial() : nullptr;
+  if (bracket_)
+    if (const Trial* trial = bracket_->last_trial()) return trial;
+  for (auto it = outcome_.brackets.rbegin(); it != outcome_.brackets.rend(); ++it)
+    if (const Trial* trial = last_of(it->rungs)) return trial;
+  return nullptr;
 }
 
 void HyperbandRun::set_refill_paused(bool paused) {
   refill_paused_ = paused;
   if (bracket_) bracket_->set_refill_paused(paused);
-  if (!paused && !stopped_ && !bracket_ && s_ >= 0) start_bracket();
+  if (!paused && !stopped_ && !bracket_ && next_ < plan_.size()) start_bracket();
 }
 
 void HyperbandRun::abandon() {
@@ -651,29 +646,25 @@ void HyperbandRun::abandon() {
 }
 
 HpoOutcome HyperbandRun::finish() {
-  outcome_.elapsed_seconds = session_.now() - t0_;
   HpoOutcome flat;
   flat.stopped_early = stopped_;
-  flat.elapsed_seconds = outcome_.elapsed_seconds;
   flat.reuse = outcome_.reuse;
-  int index = 0;
   for (const HalvingOutcome& bracket : outcome_.brackets)
     for (const RungResult& rung : bracket.rungs)
       for (const Trial& t : rung.trials) {
-        Trial copy = t;
-        copy.index = index++;
-        flat.trials.push_back(std::move(copy));
+        flat.trials.push_back(t);
+        flat.trials.back().index = static_cast<int>(flat.trials.size()) - 1;
       }
-  double best = -1.0;
-  for (std::size_t i = 0; i < flat.trials.size(); ++i) {
-    const Trial& t = flat.trials[i];
-    if (t.failed) continue;
-    if (t.result.final_val_accuracy > best) {
-      best = t.result.final_val_accuracy;
-      flat.best_index = static_cast<int>(i);
-    }
-  }
+  finalise_outcome(flat, t0_, session_.now());
+  outcome_.elapsed_seconds = flat.elapsed_seconds;
   return flat;
+}
+
+HpoOutcome drive_to_completion(rt::StudySession session, TrialPump& pump) {
+  pump.start();
+  while (pump.active() && !pump.inflight().empty())
+    pump.on_trial_complete(session.wait_any(pump.inflight()));
+  return pump.finish();
 }
 
 }  // namespace chpo::hpo

@@ -1,20 +1,19 @@
 // Resumable study state machines.
 //
-// HpoDriver::run / successive_halving / hyperband used to be blocking
-// loops that drove the runtime to completion — fine for one study, fatal
-// for N: the engine is single-thread confined, so concurrent studies must
-// be *cooperatively multiplexed* from one coordinator, not run on N
-// threads. This file splits each driving loop into an explicit state
-// machine (a TrialPump): construction captures the plan, start() submits
-// the initial window, and on_trial_complete() consumes exactly one
-// finished trial and refills. A coordinator (service::StudyManager) can
-// then interleave any number of pumps over one engine with a single
-// wait_any across all their in-flight futures, routing each completion to
-// the pump whose study tag it carries.
+// The engine is single-thread confined, so concurrent studies are
+// cooperatively multiplexed from one coordinator, not run on N threads.
+// Each study is a TrialPump: construction captures the plan, start()
+// submits the initial window, and on_trial_complete() consumes exactly one
+// finished trial and refills. A coordinator (service::StudyManager)
+// interleaves any number of pumps over one engine with a single wait_any
+// across all their in-flight futures, routing each completion to the pump
+// whose study tag it carries.
 //
-// The classic blocking entry points still exist — HpoDriver::run and the
-// hyperband free functions are now thin wrappers that drive their own pump
-// to exhaustion — so single-study code keeps its one-call shape.
+// Two pumps exist: StudyRun drives one point-search algorithm (grid,
+// random, GP-EI, TPE), and HyperbandRun steps through a plan of
+// successive-halving brackets (plain halving is a plan of one). The
+// blocking entry points — HpoDriver::run, successive_halving, hyperband —
+// run their pump through drive_to_completion(), the one blocking loop.
 #pragma once
 
 #include <memory>
@@ -117,7 +116,9 @@ class StudyRun : public TrialPump {
   /// once so shared prefixes merge into one tree.
   void start_batch_reuse();
   bool stop_hit(const Trial& trial) const;
-  void record_replayed(const Config& config, const ml::TrainResult& result);
+  /// Record a trial served without a task (checkpoint or result cache):
+  /// tell the algorithm, count the replay, honour the stop threshold.
+  void record_replayed(int index, const Config& config, const ml::TrainResult& result);
   void cancel_outstanding();
   void rebuild_futures();
 
@@ -141,65 +142,17 @@ class StudyRun : public TrialPump {
   bool started_ = false;
 };
 
-/// State machine behind successive_halving: rungs of budgeted experiment
-/// tasks, consumed as-completed, promoted top-1/eta between rungs.
-class HalvingRun : public TrialPump {
- public:
-  HalvingRun(rt::StudySession session, const ml::Dataset& dataset, SearchSpace space,
-             HalvingOptions options, std::shared_ptr<reuse::ResultCache> cache = nullptr);
+/// One successive-halving bracket (defined in study_run.cpp).
+class HalvingRun;
 
-  void start() override;
-  bool active() const override;
-  const std::vector<rt::Future>& inflight() const override { return inflight_futures_; }
-  void on_trial_complete(const rt::Future& finished) override;
-  std::size_t trials_done() const override;
-  const Trial* last_trial() const override;
-  void set_refill_paused(bool paused) override;
-  void abandon() override;
-  HpoOutcome finish() override;
-
-  /// Full per-rung view (the free function returns this; finish() flattens
-  /// it into an HpoOutcome for the manager's uniform reporting).
-  const HalvingOutcome& outcome() const { return outcome_; }
-  int current_rung() const { return rung_index_; }
-
- private:
-  /// Submit the current survivors at the current epoch budget. Fully
-  /// replayed rungs close immediately (and may cascade into later rungs).
-  void submit_rung();
-  /// Rank the finished rung, promote the top 1/eta, advance the budget.
-  void close_rung();
-  void rebuild_futures();
-
-  rt::StudySession session_;
-  const ml::Dataset& dataset_;
-  SearchSpace space_;
-  HalvingOptions options_;
-  Rng rng_;
-  std::shared_ptr<reuse::ResultCache> cache_;
-  std::optional<reuse::StageExecutor> executor_;
-  double t0_ = 0.0;
-  HalvingOutcome outcome_;
-  std::vector<Config> survivors_;
-  int epochs_ = 0;
-  int rung_index_ = 0;
-  RungResult rung_;
-  std::vector<std::pair<Config, rt::Future>> submitted_;
-  std::vector<std::pair<std::size_t, rt::Future>> outstanding_;
-  std::vector<rt::Future> inflight_futures_;
-  bool done_ = false;
-  bool stopped_ = false;
-  bool refill_paused_ = false;
-  /// Rung promotion deferred by a pause (resume submits it).
-  bool rung_pending_ = false;
-};
-
-/// State machine behind hyperband: s_max+1 HalvingRun brackets run in
-/// sequence against one shared ResultCache.
+/// State machine behind successive_halving and hyperband: the brackets of
+/// a plan (hyperband_plan(), or one HalvingOptions for plain halving) run
+/// in sequence against one shared ResultCache.
 class HyperbandRun : public TrialPump {
  public:
   HyperbandRun(rt::StudySession session, const ml::Dataset& dataset, SearchSpace space,
-               HyperbandOptions options);
+               std::vector<HalvingOptions> plan);
+  ~HyperbandRun() override;
 
   void start() override;
   bool active() const override;
@@ -209,8 +162,11 @@ class HyperbandRun : public TrialPump {
   const Trial* last_trial() const override;
   void set_refill_paused(bool paused) override;
   void abandon() override;
+  /// Flatten every bracket's rungs into one HpoOutcome: trials in bracket
+  /// and rung order with fresh sequential indices.
   HpoOutcome finish() override;
 
+  /// Full per-bracket view (the blocking entry points return this).
   const HyperbandOutcome& outcome() const { return outcome_; }
 
  private:
@@ -220,16 +176,19 @@ class HyperbandRun : public TrialPump {
   rt::StudySession session_;
   const ml::Dataset& dataset_;
   SearchSpace space_;
-  HyperbandOptions options_;
+  std::vector<HalvingOptions> plan_;
   std::shared_ptr<reuse::ResultCache> cache_;
   double t0_ = 0.0;
   HyperbandOutcome outcome_;
-  int s_max_ = 0;
-  int s_ = 0;
+  std::size_t next_ = 0;  ///< plan index of the next bracket to start
   std::unique_ptr<HalvingRun> bracket_;
   std::vector<rt::Future> empty_;
   bool stopped_ = false;
   bool refill_paused_ = false;
 };
+
+/// Drive `pump` to exhaustion on `session` and return its outcome: the one
+/// blocking loop behind HpoDriver::run, successive_halving and hyperband.
+HpoOutcome drive_to_completion(rt::StudySession session, TrialPump& pump);
 
 }  // namespace chpo::hpo

@@ -1,5 +1,7 @@
 #include "runtime/runtime.hpp"
 
+#include <algorithm>
+
 #include "runtime/study_session.hpp"
 #include "runtime/thread_backend.hpp"
 #include "support/log.hpp"
@@ -238,7 +240,13 @@ std::any Runtime::wait_on(const Future& future) {
   return graph_.registry().value(future.data, future.version);
 }
 
-Future Runtime::wait_any(std::span<const Future> futures) {
+Future Runtime::wait_any(std::span<const Future> futures) { return wait_first(futures, -1.0); }
+
+Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
+  return wait_first(futures, std::max(0.0, seconds));
+}
+
+Future Runtime::wait_first(std::span<const Future> futures, double seconds) {
   if (futures.empty()) throw std::invalid_argument("wait_any: no futures");
   EngineContextScope ctx(g_engine_ctx);
   std::vector<TaskId> targets;
@@ -266,45 +274,10 @@ Future Runtime::wait_any(std::span<const Future> futures) {
 
   const Future* winner = first_finished();
   if (winner == nullptr) {
-    backend_->run_until_any(targets);
-    winner = first_finished();
-  }
-  synced_.push_back(*winner);
-  sink_.record(trace::Event{.kind = trace::EventKind::WaitAny,
-                            .task_id = winner->producer,
-                            .study = graph_.task(winner->producer).study,
-                            .t_start = backend_->now(),
-                            .t_end = backend_->now()});
-  return *winner;
-}
-
-Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
-  if (futures.empty()) throw std::invalid_argument("wait_any_for: no futures");
-  EngineContextScope ctx(g_engine_ctx);
-  std::vector<TaskId> targets;
-  targets.reserve(futures.size());
-  for (const Future& f : futures) {
-    if (f.producer == kNoTask) throw std::invalid_argument("wait_any_for: empty future");
-    targets.push_back(f.producer);
-  }
-
-  auto first_finished = [&]() -> const Future* {
-    const Future* winner = nullptr;
-    std::uint64_t best_seq = 0;
-    for (const Future& f : futures) {
-      const std::uint64_t seq = graph_.task(f.producer).terminal_seq;
-      if (seq == 0) continue;
-      if (winner == nullptr || seq < best_seq) {
-        winner = &f;
-        best_seq = seq;
-      }
-    }
-    return winner;
-  };
-
-  const Future* winner = first_finished();
-  if (winner == nullptr) {
-    backend_->run_until_any_for(targets, seconds);
+    if (seconds < 0)
+      backend_->run_until_any(targets);
+    else
+      backend_->run_until_any_for(targets, seconds);
     winner = first_finished();
   }
   if (winner == nullptr) return Future{};  // timed out; nothing terminal

@@ -304,6 +304,8 @@ class Runtime {
   friend class StudySession;
 
   void on_task_terminal(TaskId task, TaskState state);
+  /// The body of wait_any (`seconds` < 0: no bound) and wait_any_for.
+  Future wait_first(std::span<const Future> futures, double seconds);
 
   /// Per-study bookkeeping on the Runtime side of the notification funnel.
   struct StudyInfo {

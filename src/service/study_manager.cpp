@@ -46,7 +46,7 @@ rt::StudyId StudyManager::submit(StudySpec spec) {
 std::size_t StudyManager::active_count() const {
   std::size_t n = 0;
   for (const auto& [_, record] : records_)
-    if (record.state == StudyState::Running || record.state == StudyState::Paused) ++n;
+    if (record.live()) ++n;
   return n;
 }
 
@@ -58,24 +58,22 @@ void StudyManager::emit(StudyEvent::Kind kind, rt::StudyId id, const Record& rec
   event.study = id;
   event.state = record.state;
   event.trial = trial;
-  if (record.state == StudyState::Running || record.state == StudyState::Paused)
-    event.trials_done = record.pump ? record.pump->trials_done() : 0;
-  else
-    event.trials_done = record.outcome.trials.size();
+  event.trials_done = record.trials_done();
   tap_(event);
 }
 
 void StudyManager::start(Record& record) {
   const StudySpec& spec = record.spec;
-  if (spec.algorithm == "halving") {
-    hpo::HalvingOptions options = spec.halving;
-    options.driver = spec.driver;
-    record.pump = std::make_unique<hpo::HalvingRun>(record.session, dataset_, spec.space, options);
-  } else if (spec.algorithm == "hyperband") {
-    hpo::HyperbandOptions options = spec.hyperband;
-    options.driver = spec.driver;
-    record.pump =
-        std::make_unique<hpo::HyperbandRun>(record.session, dataset_, spec.space, options);
+  if (spec.algorithm == "halving" || spec.algorithm == "hyperband") {
+    // Successive halving is a one-bracket hyperband.
+    hpo::HalvingOptions halving = spec.halving;
+    halving.driver = spec.driver;
+    hpo::HyperbandOptions hyperband = spec.hyperband;
+    hyperband.driver = spec.driver;
+    record.pump = std::make_unique<hpo::HyperbandRun>(
+        record.session, dataset_, spec.space,
+        spec.algorithm == "halving" ? std::vector<hpo::HalvingOptions>{halving}
+                                    : hpo::hyperband_plan(hyperband));
   } else {
     // Point search: the algorithm object holds a reference into
     // record.spec.space, which lives exactly as long as the record.
@@ -126,7 +124,7 @@ std::vector<rt::Future> StudyManager::collect_inflight() const {
   // *ready* queue, it never aborts work).
   std::vector<rt::Future> futures;
   for (const auto& [_, record] : records_)
-    if (record.state == StudyState::Running || record.state == StudyState::Paused)
+    if (record.live())
       for (const rt::Future& f : record.pump->inflight()) futures.push_back(f);
   return futures;
 }
@@ -149,30 +147,19 @@ void StudyManager::route(const rt::Future& finished) {
   if (record.state == StudyState::Running && !record.pump->active()) finish(record);
 }
 
-bool StudyManager::step() {
+bool StudyManager::step() { return step_until(-1.0) == StepOutcome::Progress; }
+
+StudyManager::StepOutcome StudyManager::step_for(double seconds) {
+  return step_until(std::max(0.0, seconds));
+}
+
+StudyManager::StepOutcome StudyManager::step_until(double seconds) {
   admit();
 
   const std::vector<rt::Future> futures = collect_inflight();
   if (futures.empty()) {
     // Nothing in flight anywhere. Running studies with no futures are
     // drained state machines that never went inactive — a pump bug.
-    for (auto& [_, record] : records_)
-      if (record.state == StudyState::Running && !record.pump->active()) finish(record);
-    bool queued = false;
-    for (const auto& [_, record] : records_)
-      if (record.state == StudyState::Queued) queued = true;
-    return queued;  // paused-only fleets park here; resume() + step() continues
-  }
-
-  route(runtime_.wait_any(futures));
-  return true;
-}
-
-StudyManager::StepOutcome StudyManager::step_for(double seconds) {
-  admit();
-
-  const std::vector<rt::Future> futures = collect_inflight();
-  if (futures.empty()) {
     bool progressed = false;
     for (auto& [_, record] : records_)
       if (record.state == StudyState::Running && !record.pump->active()) {
@@ -181,13 +168,13 @@ StudyManager::StepOutcome StudyManager::step_for(double seconds) {
       }
     if (progressed) return StepOutcome::Progress;
     for (const auto& [_, record] : records_)
-      if (record.state == StudyState::Queued || record.state == StudyState::Running ||
-          record.state == StudyState::Paused)
+      if (record.state == StudyState::Queued || record.live())
         return StepOutcome::Idle;  // parked: paused fleet, or admission gated
     return StepOutcome::Drained;
   }
 
-  const rt::Future finished = runtime_.wait_any_for(futures, seconds);
+  const rt::Future finished =
+      seconds < 0 ? runtime_.wait_any(futures) : runtime_.wait_any_for(futures, seconds);
   if (finished.producer == rt::kNoTask) return StepOutcome::Idle;  // bound expired
   route(finished);
   return StepOutcome::Progress;
@@ -263,12 +250,7 @@ StudyStatus StudyManager::status(rt::StudyId id) const {
   s.name = record.session.name();
   s.algorithm = record.spec.algorithm;
   s.state = record.state;
-  // Live count from the pump while it owns the trials; final count from
-  // the flattened outcome afterwards.
-  if ((record.state == StudyState::Running || record.state == StudyState::Paused) && record.pump)
-    s.trials_done = record.pump->trials_done();
-  else
-    s.trials_done = record.outcome.trials.size();
+  s.trials_done = record.trials_done();
   return s;
 }
 
@@ -283,13 +265,8 @@ ManagerStats StudyManager::stats() const {
       case StudyState::Finished: ++stats.finished; break;
       case StudyState::Killed: ++stats.killed; break;
     }
-    if ((record.state == StudyState::Running || record.state == StudyState::Paused) &&
-        record.pump) {
-      stats.trials_done += record.pump->trials_done();
-      stats.inflight += record.pump->inflight().size();
-    } else {
-      stats.trials_done += record.outcome.trials.size();
-    }
+    stats.trials_done += record.trials_done();
+    if (record.live()) stats.inflight += record.pump->inflight().size();
   }
   stats.completions_routed = routed_;
   stats.leaked_completions = leaked_;

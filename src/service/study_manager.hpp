@@ -3,10 +3,11 @@
 //
 // The engine is single-thread confined, so concurrency between studies is
 // cooperative: the manager owns one Runtime, opens one StudySession per
-// admitted study, builds the matching TrialPump (StudyRun / HalvingRun /
-// HyperbandRun), and multiplexes all pumps from its own step() loop — one
-// wait_any over every active study's in-flight futures, each winner routed
-// to the pump whose study tag it carries. The study tag travels with the
+// admitted study, builds the matching TrialPump (StudyRun for point
+// search, HyperbandRun for halving and hyperband), and multiplexes all
+// pumps from its own step() loop — one wait_any over every active study's
+// in-flight futures, each winner routed to the pump whose study tag it
+// carries. The study tag travels with the
 // task through the engine, so routing is a graph lookup, not a guess; a
 // completion whose owning pump does not recognise it is counted in
 // leaked_completions() (asserted zero by the CI multi-study smoke).
@@ -45,7 +46,7 @@ namespace chpo::service {
 struct StudySpec {
   std::string name;
   /// "grid" | "random" | "gp" | "tpe" (point search via StudyRun) or
-  /// "halving" | "hyperband" (multi-fidelity pumps).
+  /// "halving" | "hyperband" (bracket plans via HyperbandRun).
   std::string algorithm = "random";
   hpo::SearchSpace space;
   /// Trial budget for random/gp/tpe (grid enumerates the space).
@@ -131,9 +132,10 @@ class StudyManager {
   rt::StudyId submit(StudySpec spec);
 
   /// Admit queued studies, wait for ONE completion across every active
-  /// study, route it to its owner. Returns true while any study is queued,
-  /// running, or paused-with-work — i.e. while there is anything left to
-  /// drive. Paused studies' in-flight completions are still consumed.
+  /// study, route it to its owner. Returns true iff that made progress
+  /// (step_for's Progress, without a bound); false once nothing is left to
+  /// drive or only paused studies without in-flight work remain. Paused
+  /// studies' in-flight completions are still consumed.
   bool step();
 
   /// What one bounded step accomplished.
@@ -205,6 +207,11 @@ class StudyManager {
   const trace::TraceSink& trace() const { return runtime_.trace(); }
   std::uint64_t lineage_violations() const { return runtime_.lineage_violations(); }
   std::size_t lineage_recoveries() const { return runtime_.lineage_recoveries(); }
+  std::size_t unrecoverable_count() const { return runtime_.unrecoverable_count(); }
+  const rt::NodeHealth& node_health() const { return runtime_.node_health(); }
+  const cluster::ClusterSpec& cluster_spec() const { return runtime_.cluster_spec(); }
+  std::string graph_dot() const { return runtime_.graph_dot(); }
+  double makespan() const { return runtime_.analyze().makespan(); }
 
  private:
   struct Record {
@@ -216,8 +223,18 @@ class StudyManager {
     hpo::HpoOutcome outcome;
     /// pause() landed while Queued: admit in the paused state.
     bool start_paused = false;
+
+    /// Admitted and not yet closed: the pump owns the trials.
+    bool live() const { return state == StudyState::Running || state == StudyState::Paused; }
+    /// Live count from the pump while it owns the trials; final count from
+    /// the flattened outcome afterwards.
+    std::size_t trials_done() const {
+      return live() ? pump->trials_done() : outcome.trials.size();
+    }
   };
 
+  /// The body of step() and step_for(): `seconds` < 0 waits unbounded.
+  StepOutcome step_until(double seconds);
   void admit();
   void start(Record& record);
   void finish(Record& record);

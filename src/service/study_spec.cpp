@@ -33,6 +33,11 @@ std::string require_string(const json::Value& v, const char* key) {
 
 }  // namespace
 
+bool known_algorithm(const std::string& name) {
+  return std::find_if(kAlgorithms.begin(), kAlgorithms.end(),
+                      [&](const char* a) { return name == a; }) != kAlgorithms.end();
+}
+
 StudySpec study_spec_from_json(const json::Value& spec_json, const StudySpecDefaults& defaults) {
   if (!spec_json.is_object()) throw SpecError("study spec must be a JSON object");
   for (const auto& [key, _] : spec_json.as_object())
@@ -46,9 +51,7 @@ StudySpec study_spec_from_json(const json::Value& spec_json, const StudySpecDefa
 
   if (const json::Value* v = spec_json.find("algorithm")) {
     spec.algorithm = require_string(*v, "algorithm");
-    if (std::find_if(kAlgorithms.begin(), kAlgorithms.end(), [&](const char* a) {
-          return spec.algorithm == a;
-        }) == kAlgorithms.end())
+    if (!known_algorithm(spec.algorithm))
       throw SpecError("unknown algorithm '" + spec.algorithm +
                       "' (grid | random | gp | tpe | halving | hyperband)");
   }
@@ -90,11 +93,9 @@ StudySpec study_spec_from_json(const json::Value& spec_json, const StudySpecDefa
   if (const json::Value* v = spec_json.find("paused"))
     if (!v->is_bool()) throw SpecError("spec field 'paused' must be a boolean");
 
-  // Multi-fidelity pumps copy the (possibly overridden) driver and size
-  // their first rung from the trial budget.
-  spec.halving.driver = spec.driver;
+  // Halving sizes its first rung from the trial budget (StudyManager
+  // hands both bracket pumps the spec's driver options).
   spec.halving.initial_configs = spec.budget;
-  spec.hyperband.driver = spec.driver;
   return spec;
 }
 

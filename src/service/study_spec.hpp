@@ -1,7 +1,7 @@
 // StudySpec construction from JSON — the one code path shared by every
 // front-end that submits to a StudyManager.
 //
-// chpo_run --studies builds one spec object per study from its flags; the
+// chpo_run builds one spec object per study from its flags; the
 // service daemon receives the same object verbatim in a `submit` request.
 // Both funnel through study_spec_from_json(), so a spec that runs from the
 // CLI is bit-for-bit the spec the daemon admits — there is no second
@@ -30,6 +30,10 @@ struct StudySpecDefaults {
   hpo::DriverOptions driver;
   std::size_t budget = 16;
 };
+
+/// True iff `name` is an algorithm a spec may name (grid | random | gp |
+/// tpe | halving | hyperband).
+bool known_algorithm(const std::string& name);
 
 /// Parse one study spec:
 ///

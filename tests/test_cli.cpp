@@ -85,6 +85,26 @@ TEST_F(CliFixture, CheckpointReplayIsFaster) {
   std::remove(checkpoint.c_str());
 }
 
+TEST_F(CliFixture, HalvingRunPrintsBest) {
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary + " " + space_path +
+          " --algorithm halving --budget 4 --epoch-cap 1 --train-samples 60 --test-samples 20",
+      &exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+  EXPECT_NE(output.find("best:"), std::string::npos) << output;
+}
+
+TEST_F(CliFixture, SimulatedHyperbandRunPrintsBest) {
+  int exit_code = -1;
+  const std::string output = run_command(
+      binary + " " + space_path +
+          " --algorithm hyperband --simulate --epoch-cap 1 --train-samples 60 --test-samples 20",
+      &exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+  EXPECT_NE(output.find("best:"), std::string::npos) << output;
+}
+
 TEST_F(CliFixture, UnknownAlgorithmFails) {
   int exit_code = -1;
   const std::string output =

@@ -117,6 +117,28 @@ TEST(Hyperband, RunsAllBracketsAndFindsGoodConfig) {
   EXPECT_EQ(outcome.brackets[2].rungs[0].epochs, 9);
 }
 
+TEST(Hyperband, ExactPowerBudgetRunsEveryBracket) {
+  // R = 243 = 3^5: s_max is 5, so 6 brackets. A floating-point
+  // floor(log R / log eta) reads 4.999... there and drops one.
+  const ml::Dataset dataset = ml::make_mnist_like(20, 10, 10);
+  rt::RuntimeOptions runtime_options = thread_cluster();
+  runtime_options.simulate = true;
+  rt::Runtime runtime(std::move(runtime_options));
+  HyperbandOptions options;
+  options.max_epochs = 243;
+  options.eta = 3.0;
+  options.driver.epoch_cap = 1;
+  // 611 trials: a one-unit hidden layer keeps each one cheap.
+  const SearchSpace space = SearchSpace::from_json_text(R"({
+    "optimizer": ["Adam", "SGD"],
+    "hidden_units": [1]
+  })");
+  const HyperbandOutcome outcome = hyperband(runtime.main_study(), dataset, space, options);
+  ASSERT_EQ(outcome.brackets.size(), 6u);
+  EXPECT_EQ(outcome.brackets[0].rungs[0].epochs, 1);
+  EXPECT_EQ(outcome.brackets[5].rungs[0].epochs, 243);
+}
+
 TEST(Hyperband, InvalidOptionsThrow) {
   const ml::Dataset dataset = ml::make_mnist_like(20, 10, 8);
   rt::Runtime runtime(thread_cluster());

@@ -2,8 +2,9 @@
 // completion routing, cancellation isolation, engine fair-share/quota/
 // pause at the scheduler seam, cooperative multi-study runs with
 // different algorithms on both backends, kill mid-rung, pause/resume and
-// crash-resume determinism, and two-study isolation under fault
-// injection (the chaos face of the multi-study contract).
+// crash-resume determinism, one-study manager runs that match each
+// blocking entry point, and two-study isolation under fault injection
+// (the chaos face of the multi-study contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "hpo/hyperband.hpp"
 #include "hpo/report.hpp"
 #include "ml/cost_model.hpp"
 #include "ml/dataset.hpp"
@@ -355,6 +357,95 @@ TEST(StudyManager, CrashResumeReplaysCheckpointBitIdentically) {
   }
   std::remove(checkpoint.c_str());
 }
+
+// ---------------------------------------------------------------------------
+// One path: a one-study StudyManager reproduces each blocking entry point
+// ---------------------------------------------------------------------------
+
+/// The fields a study's result is judged by, flattened in report order.
+struct TrialKey {
+  std::string config;
+  int epochs = 0;
+  double accuracy = 0.0;
+  bool operator==(const TrialKey&) const = default;
+};
+
+TrialKey key_of(const hpo::Trial& t) {
+  return {json::serialize(t.config), t.result.epochs_run, t.result.final_val_accuracy};
+}
+
+void append_rungs(const hpo::HalvingOutcome& bracket, std::vector<TrialKey>& keys) {
+  for (const hpo::RungResult& rung : bracket.rungs)
+    for (const hpo::Trial& t : rung.trials) keys.push_back(key_of(t));
+}
+
+class OnePath : public testing::TestWithParam<const char*> {};
+
+TEST_P(OnePath, ManagerMatchesBlockingEntryPoint) {
+  const std::string algorithm = GetParam();
+  const ml::Dataset dataset = ml::make_mnist_like(80, 20, 8);
+  service::StudySpec spec = point_spec("solo", algorithm, 5, 31);
+  spec.driver.workload = ml::mnist_paper_model();
+  spec.halving.initial_configs = 6;
+  spec.halving.initial_epochs = 1;
+  spec.halving.max_epochs = 4;
+  spec.hyperband.max_epochs = 9;
+
+  // Blocking entry point on a fresh Runtime.
+  std::vector<TrialKey> blocking;
+  double blocking_best = -1.0;
+  {
+    rt::Runtime runtime(small_cluster(/*simulate=*/true));
+    if (algorithm == "halving") {
+      hpo::HalvingOptions options = spec.halving;
+      options.driver = spec.driver;
+      const hpo::HalvingOutcome outcome =
+          hpo::successive_halving(runtime.main_study(), dataset, spec.space, options);
+      append_rungs(outcome, blocking);
+      blocking_best = outcome.best_accuracy;
+    } else if (algorithm == "hyperband") {
+      hpo::HyperbandOptions options = spec.hyperband;
+      options.driver = spec.driver;
+      const hpo::HyperbandOutcome outcome =
+          hpo::hyperband(runtime.main_study(), dataset, spec.space, options);
+      for (const hpo::HalvingOutcome& bracket : outcome.brackets) append_rungs(bracket, blocking);
+      blocking_best = outcome.best_accuracy;
+    } else {
+      const auto search =
+          hpo::make_search_algorithm(algorithm, spec.space, spec.budget, spec.driver.seed);
+      hpo::HpoDriver driver(runtime.main_study(), dataset, spec.driver);
+      const hpo::HpoOutcome outcome = driver.run(*search);
+      for (const hpo::Trial& t : outcome.trials) blocking.push_back(key_of(t));
+      ASSERT_NE(outcome.best(), nullptr);
+      blocking_best = outcome.best()->result.final_val_accuracy;
+    }
+  }
+
+  // The same spec as the only study of a StudyManager.
+  service::ManagerOptions options;
+  options.runtime = small_cluster(/*simulate=*/true);
+  service::StudyManager manager(std::move(options), dataset);
+  const rt::StudyId id = manager.submit(spec);
+  manager.run_all();
+  ASSERT_EQ(manager.state(id), service::StudyState::Finished);
+  const hpo::HpoOutcome& outcome = manager.outcome(id);
+  std::vector<TrialKey> managed;
+  for (const hpo::Trial& t : outcome.trials) managed.push_back(key_of(t));
+
+  ASSERT_FALSE(blocking.empty());
+  EXPECT_TRUE(managed == blocking) << algorithm << ": trial sequences differ";
+  // Best: the first trial, in report order, at the best accuracy.
+  ASSERT_NE(outcome.best(), nullptr);
+  EXPECT_EQ(outcome.best()->result.final_val_accuracy, blocking_best);
+  const auto first_best = std::find_if(blocking.begin(), blocking.end(), [&](const TrialKey& k) {
+    return k.accuracy == blocking_best;
+  });
+  ASSERT_NE(first_best, blocking.end());
+  EXPECT_EQ(json::serialize(outcome.best()->config), first_best->config);
+}
+
+INSTANTIATE_TEST_SUITE_P(Algorithms, OnePath,
+                         testing::Values("grid", "random", "halving", "hyperband"));
 
 // ---------------------------------------------------------------------------
 // Chaos: two studies under fault injection stay isolated

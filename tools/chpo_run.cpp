@@ -8,23 +8,19 @@
 //            [--trace out] [--graph out.dot] [--csv out.csv]
 //
 // Runs the selected algorithm over the JSON search space on a synthetic
-// dataset, through the task runtime, and writes the report plus optional
-// Paraver/Graphviz/CSV artifacts.
+// dataset as one study (or --studies N) on a service::StudyManager, and
+// writes the per-study reports plus optional Paraver/Graphviz/CSV
+// artifacts.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
-#include "hpo/algorithms.hpp"
-#include "hpo/driver.hpp"
-#include "hpo/hyperband.hpp"
 #include "hpo/importance.hpp"
 #include "hpo/report.hpp"
-#include "hpo/tpe.hpp"
 #include "ml/cost_model.hpp"
 #include "ml/dataset.hpp"
 #include "jsonlite/json.hpp"
-#include "runtime/runtime.hpp"
 #include "service/study_manager.hpp"
 #include "service/study_spec.hpp"
 #include "support/args.hpp"
@@ -65,86 +61,9 @@ cluster::ClusterSpec make_cluster(const std::string& machine, std::size_t nodes,
   return spec;
 }
 
-/// --studies N: run N concurrent studies (cycling --algorithms) on ONE
-/// Runtime through service::StudyManager, then print a per-study report
-/// and assert isolation (no cross-study completion leaks, no lineage
-/// violations). The multi-study CI smoke greps the summary lines.
-///
-/// Specs are built as JSON and parsed through service::study_spec_from_json
-/// — the exact code path a daemon `submit` request takes, so CLI runs and
-/// remote submissions cannot drift apart.
-int run_multi(const ArgParser& args, const json::Value& space_json, const ml::Dataset& dataset,
-              rt::RuntimeOptions runtime_options, const hpo::DriverOptions& driver_options,
-              std::size_t studies) {
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::vector<std::string> algorithms =
-      split(args.get("algorithms", args.get("algorithm", "grid")), ',');
-
-  service::ManagerOptions manager_options;
-  manager_options.runtime = std::move(runtime_options);
-  manager_options.max_active = static_cast<std::size_t>(args.get_int("max-active", 0));
-  service::StudyManager manager(std::move(manager_options), dataset);
-
-  service::StudySpecDefaults defaults;
-  defaults.driver = driver_options;
-  defaults.budget = static_cast<std::size_t>(args.get_int("budget", 16));
-
-  std::vector<rt::StudyId> ids;
-  for (std::size_t i = 0; i < studies; ++i) {
-    const std::string& algorithm = algorithms[i % algorithms.size()];
-    json::Value spec_json;
-    spec_json.set("algorithm", json::Value(algorithm));
-    spec_json.set("name", json::Value(algorithm + "-" + std::to_string(i)));
-    spec_json.set("space", space_json);
-    // Distinct trial seeds per study; one shared checkpoint file would
-    // cross-replay between studies, so suffix it per study.
-    spec_json.set("seed", json::Value(static_cast<std::int64_t>(seed + i * 1000003ULL)));
-    if (!driver_options.checkpoint_path.empty())
-      spec_json.set("checkpoint", json::Value(driver_options.checkpoint_path + ".study" +
-                                              std::to_string(i)));
-    ids.push_back(manager.submit(service::study_spec_from_json(spec_json, defaults)));
-  }
-  manager.run_all();
-
-  std::vector<hpo::StudySummaryRow> rows;
-  for (const rt::StudyId id : ids) {
-    const service::StudyStatus status = manager.status(id);
-    const hpo::HpoOutcome& outcome = manager.outcome(id);
-    std::printf("=== study %u: %s (%s, %s) ===\n", id, status.name.c_str(),
-                status.algorithm.c_str(), service::study_state_name(status.state));
-    std::printf("%s", hpo::trials_table(outcome.trials).c_str());
-    std::printf("%s", hpo::outcome_summary(outcome).c_str());
-    hpo::StudySummaryRow row;
-    row.name = status.name;
-    row.algorithm = status.algorithm;
-    row.state = service::study_state_name(status.state);
-    row.trials = outcome.trials.size();
-    row.best_accuracy =
-        outcome.best() ? outcome.best()->result.final_val_accuracy : -1.0;
-    row.elapsed_seconds = outcome.elapsed_seconds;
-    rows.push_back(std::move(row));
-  }
-  std::printf("\n%s", hpo::multi_study_summary(rows).c_str());
-  if (manager.simulated())
-    std::printf("virtual now: %s\n", format_duration(manager.now()).c_str());
-
-  // Isolation invariants (the CI multi-study smoke greps this line):
-  std::printf("isolation: leaked completions: %zu, lineage violations: %llu\n",
-              manager.leaked_completions(),
-              static_cast<unsigned long long>(manager.lineage_violations()));
-  if (manager.leaked_completions() != 0 || manager.lineage_violations() != 0) {
-    std::fprintf(stderr, "chpo_run: cross-study isolation violated\n");
-    return 1;
-  }
-  for (const rt::StudyId id : ids)
-    if (manager.state(id) != service::StudyState::Finished) return 1;
-  return 0;
-}
-
 int run(const ArgParser& args) {
   const std::string space_path = args.positional().front();
   const json::Value space_json = json::parse_file(space_path);
-  const hpo::SearchSpace space = hpo::SearchSpace::from_json(space_json);
 
   // Dataset: generated before the Runtime so it outlives draining tasks.
   const std::string dataset_name = args.get("dataset", "mnist");
@@ -209,59 +128,83 @@ int run(const ArgParser& args) {
     driver_options.reuse.max_disk_bytes = static_cast<std::size_t>(cache_mb) * 4 * 1024 * 1024;
   }
 
-  const auto studies = static_cast<std::size_t>(args.get_int("studies", 1));
-  if (studies > 1)
-    return run_multi(args, space_json, dataset, std::move(runtime_options), driver_options,
-                     studies);
+  // Every run, one study or N, goes through service::StudyManager, and
+  // every spec through service::study_spec_from_json — the code path a
+  // daemon `submit` takes — so CLI runs and remote submissions cannot
+  // drift apart.
+  const std::int64_t study_count = args.get_int("studies", 1);
+  if (study_count < 1) throw std::invalid_argument("--studies must be at least 1");
+  const auto studies = static_cast<std::size_t>(study_count);
+  const std::vector<std::string> algorithms =
+      split(args.get("algorithms", args.get("algorithm", "grid")), ',');
+  for (const std::string& algorithm : algorithms)
+    if (!service::known_algorithm(algorithm))
+      throw std::invalid_argument("unknown --algorithm '" + algorithm +
+                                  "' (grid | random | gp | tpe | halving | hyperband)");
 
-  rt::Runtime runtime(std::move(runtime_options));
-  const std::string algorithm_name = args.get("algorithm", "grid");
-  const auto budget = static_cast<std::size_t>(args.get_int("budget", 16));
-  hpo::HpoDriver driver(runtime.main_study(), dataset, driver_options);
-  hpo::HpoOutcome outcome;
-  if (algorithm_name == "grid") {
-    hpo::GridSearch algorithm(space);
-    outcome = driver.run(algorithm);
-  } else if (algorithm_name == "random") {
-    hpo::RandomSearch algorithm(space, budget, seed);
-    outcome = driver.run(algorithm);
-  } else if (algorithm_name == "gp") {
-    hpo::GpBayesOpt algorithm(space, {.max_evals = budget, .seed = seed});
-    outcome = driver.run(algorithm);
-  } else if (algorithm_name == "tpe") {
-    hpo::TpeSearch algorithm(space, {.max_evals = budget, .seed = seed});
-    outcome = driver.run(algorithm);
-  } else if (algorithm_name == "halving") {
-    hpo::HalvingOptions halving;
-    halving.initial_configs = budget;
-    halving.driver = driver_options;
-    const hpo::HalvingOutcome halved = hpo::successive_halving(runtime.main_study(), dataset, space, halving);
-    for (const auto& rung : halved.rungs)
-      for (const auto& trial : rung.trials) outcome.trials.push_back(trial);
-    outcome.reuse = halved.reuse;
-    std::printf("successive halving best: %s -> %.3f\n",
-                hpo::config_brief(halved.best_config).c_str(), halved.best_accuracy);
-  } else if (algorithm_name == "hyperband") {
-    hpo::HyperbandOptions hb;
-    hb.driver = driver_options;
-    const hpo::HyperbandOutcome result = hpo::hyperband(runtime.main_study(), dataset, space, hb);
-    std::printf("hyperband: %zu trials across %zu brackets, best %.3f (%s)\n",
-                result.total_trials, result.brackets.size(), result.best_accuracy,
-                hpo::config_brief(result.best_config).c_str());
-    for (const auto& bracket : result.brackets)
-      for (const auto& rung : bracket.rungs)
-        for (const auto& trial : rung.trials) outcome.trials.push_back(trial);
-    outcome.reuse = result.reuse;
-  } else {
-    throw std::invalid_argument("unknown --algorithm '" + algorithm_name +
-                                "' (grid | random | gp | tpe | halving | hyperband)");
+  service::ManagerOptions manager_options;
+  manager_options.runtime = std::move(runtime_options);
+  manager_options.max_active = static_cast<std::size_t>(args.get_int("max-active", 0));
+  service::StudyManager manager(std::move(manager_options), dataset);
+
+  service::StudySpecDefaults defaults;
+  defaults.driver = driver_options;
+  defaults.budget = static_cast<std::size_t>(args.get_int("budget", 16));
+
+  std::vector<rt::StudyId> ids;
+  for (std::size_t i = 0; i < studies; ++i) {
+    const std::string& algorithm = algorithms[i % algorithms.size()];
+    json::Value spec_json;
+    spec_json.set("algorithm", json::Value(algorithm));
+    spec_json.set("name", json::Value(algorithm + "-" + std::to_string(i)));
+    spec_json.set("space", space_json);
+    // Distinct trial seeds per study; one shared checkpoint file would
+    // cross-replay between studies, so suffix it when there are several.
+    spec_json.set("seed", json::Value(static_cast<std::int64_t>(seed + i * 1000003ULL)));
+    if (!driver_options.checkpoint_path.empty())
+      spec_json.set("checkpoint",
+                    json::Value(studies == 1 ? driver_options.checkpoint_path
+                                             : driver_options.checkpoint_path + ".study" +
+                                                   std::to_string(i)));
+    ids.push_back(manager.submit(service::study_spec_from_json(spec_json, defaults)));
+  }
+  manager.run_all();
+
+  // Per-study reports.
+  std::vector<hpo::StudySummaryRow> rows;
+  std::vector<hpo::Trial> all_trials;
+  bool complete = true;
+  for (const rt::StudyId id : ids) {
+    const service::StudyStatus status = manager.status(id);
+    const hpo::HpoOutcome& outcome = manager.outcome(id);
+    std::printf("=== study %u: %s (%s, %s) ===\n", id, status.name.c_str(),
+                status.algorithm.c_str(), service::study_state_name(status.state));
+    std::printf("%s\n", hpo::trials_table(outcome.trials).c_str());
+    const auto importance = hpo::hyperparameter_importance(outcome.trials);
+    if (!importance.empty())
+      std::printf("%s\n", hpo::importance_table(importance).c_str());
+    if (!outcome.report.empty()) std::printf("%s\n", outcome.report.c_str());
+    std::printf("%s", hpo::outcome_summary(outcome).c_str());
+    if (outcome.reuse) std::printf("%s", hpo::reuse_summary(*outcome.reuse).c_str());
+    complete = complete && status.state == service::StudyState::Finished &&
+               !outcome.trials.empty();
+    all_trials.insert(all_trials.end(), outcome.trials.begin(), outcome.trials.end());
+    hpo::StudySummaryRow row;
+    row.name = status.name;
+    row.algorithm = status.algorithm;
+    row.state = service::study_state_name(status.state);
+    row.trials = outcome.trials.size();
+    row.best_accuracy = outcome.best() ? outcome.best()->result.final_val_accuracy : -1.0;
+    row.elapsed_seconds = outcome.elapsed_seconds;
+    rows.push_back(std::move(row));
   }
 
-  std::printf("%s\n", hpo::trials_table(outcome.trials).c_str());
+  // Fleet reports: one runtime serves every study.
+  if (studies > 1) std::printf("\n%s", hpo::multi_study_summary(rows).c_str());
   // events() returns a snapshot by value (the sink is mutex-guarded), so
   // take it once: calling it twice in one range expression would pair
   // begin() and end() from two different temporaries.
-  const std::vector<trace::Event> trace_events = runtime.trace().events();
+  const std::vector<trace::Event> trace_events = manager.trace().events();
   // Attempt statistics only when something eventful happened (failures,
   // retries, stragglers, backoffs): a clean run keeps a clean report.
   const bool eventful =
@@ -272,42 +215,45 @@ int run(const ArgParser& args) {
                e.kind == trace::EventKind::Backoff;
       });
   if (eventful) std::printf("%s\n", hpo::attempt_stats(trace_events).c_str());
-  const auto importance = hpo::hyperparameter_importance(outcome.trials);
-  if (!importance.empty())
-    std::printf("%s\n", hpo::importance_table(importance).c_str());
-  if (!outcome.report.empty()) std::printf("%s\n", outcome.report.c_str());
-  std::printf("%s", hpo::outcome_summary(outcome).c_str());
-  if (outcome.reuse) std::printf("%s", hpo::reuse_summary(*outcome.reuse).c_str());
   const bool chaotic =
-      mttf > 0.0 || runtime.lineage_recoveries() > 0 ||
+      mttf > 0.0 || manager.lineage_recoveries() > 0 ||
       std::any_of(trace_events.begin(), trace_events.end(), [](const auto& e) {
         return e.kind == trace::EventKind::NodeDown || e.kind == trace::EventKind::NodeUp ||
                e.kind == trace::EventKind::DataLost || e.kind == trace::EventKind::Quarantine;
       });
   if (chaotic)
-    std::printf("%s", hpo::fault_summary(trace_events, runtime.lineage_recoveries(),
-                                         runtime.unrecoverable_count(), runtime.node_health())
+    std::printf("%s", hpo::fault_summary(trace_events, manager.lineage_recoveries(),
+                                         manager.unrecoverable_count(), manager.node_health())
                           .c_str());
-  if (runtime.simulated())
-    std::printf("virtual makespan: %s\n", format_duration(runtime.analyze().makespan()).c_str());
+  if (manager.simulated())
+    std::printf("virtual makespan: %s\n", format_duration(manager.makespan()).c_str());
 
   if (args.has("graph")) {
     std::ofstream out(args.get("graph"));
-    out << runtime.graph_dot();
+    out << manager.graph_dot();
     std::printf("task graph written to %s\n", args.get("graph").c_str());
   }
   if (args.has("trace")) {
-    trace::write_prv_files(args.get("trace"), runtime.trace().events(), runtime.cluster_spec());
+    trace::write_prv_files(args.get("trace"), trace_events, manager.cluster_spec());
     std::printf("Paraver trace written to %s.prv/.row\n", args.get("trace").c_str());
   }
   if (args.has("csv")) {
     std::ofstream out(args.get("csv"));
-    out << hpo::history_csv(outcome.trials);
+    out << hpo::history_csv(all_trials);
     std::printf("history CSV written to %s\n", args.get("csv").c_str());
   }
   if (args.get_bool("gantt"))
-    std::printf("\n%s", trace::render_gantt(runtime.trace().events(), {.width = 96}).c_str());
-  return outcome.trials.empty() ? 1 : 0;
+    std::printf("\n%s", trace::render_gantt(trace_events, {.width = 96}).c_str());
+
+  // Isolation invariants (the CI smokes grep this line):
+  std::printf("isolation: leaked completions: %zu, lineage violations: %llu\n",
+              manager.leaked_completions(),
+              static_cast<unsigned long long>(manager.lineage_violations()));
+  if (manager.leaked_completions() != 0 || manager.lineage_violations() != 0) {
+    std::fprintf(stderr, "chpo_run: cross-study isolation violated\n");
+    return 1;
+  }
+  return complete ? 0 : 1;
 }
 
 }  // namespace
