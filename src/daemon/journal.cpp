@@ -7,27 +7,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/atomic_file.hpp"
 #include "support/log.hpp"
 
 namespace chpo::daemon {
-
-namespace {
-
-/// write() the whole buffer, riding out EINTR/partial writes.
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 StateJournal::StateJournal(JournalOptions options) : options_(std::move(options)) {
   if (options_.path.empty()) return;

@@ -1,10 +1,9 @@
 #include "hpo/checkpoint.hpp"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "reuse/snapshot_io.hpp"
+#include "support/atomic_file.hpp"
 #include "support/log.hpp"
 
 namespace chpo::hpo {
@@ -58,13 +57,10 @@ std::vector<Trial> trials_from_json(const json::Value& value) {
 }
 
 void save_checkpoint(const std::string& path, const std::vector<Trial>& trials) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw std::runtime_error("checkpoint: cannot write " + tmp);
-    out << json::serialize_pretty(trials_to_json(trials)) << "\n";
-  }
-  std::filesystem::rename(tmp, path);
+  // A failed write (full disk) keeps the last good checkpoint in place.
+  if (!atomic_write_file(path, json::serialize_pretty(trials_to_json(trials)) + "\n",
+                         /*durable=*/false))
+    throw std::runtime_error("checkpoint: cannot write " + path);
 }
 
 std::vector<Trial> load_checkpoint(const std::string& path) {

@@ -3,22 +3,33 @@
 // The engine decides *what* happens; a backend decides *when*. The threaded
 // backend executes task bodies on real host threads and reads a wall clock;
 // the simulation backend advances a virtual clock by per-task cost models.
-// Both must drive the engine to the same logical outcome for the same
-// submission sequence — the test suite asserts this equivalence.
+// Neither drives the engine: Runtime::drive is the one loop that runs
+// engine duties, schedules, launches the dispatches through launch() and
+// feeds the attempt ends wait() reports back into the engine. A backend
+// only starts attempts and reports when they end, so both drive the engine
+// to the same logical outcome for the same submission sequence — the test
+// suite asserts this equivalence.
 //
-// Every drive entry point requires the g_engine_ctx capability: backends
-// never acquire the coordinator role themselves, they inherit it from the
-// Runtime call that invoked them (see engine_context.hpp).
+// launch() and wait() require the g_engine_ctx capability: backends never
+// acquire the coordinator role themselves, they inherit it from the
+// Runtime::drive call that invoked them (see engine_context.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <span>
+#include <vector>
 
 #include "runtime/engine.hpp"
 #include "runtime/types.hpp"
 
 namespace chpo::rt {
+
+/// One attempt that ended on a backend, as Engine::complete_attempt takes it.
+struct AttemptEnd {
+  std::uint64_t attempt_id = 0;
+  AttemptResult result;
+  double start = 0.0;  ///< when the body began (after staging)
+  double end = 0.0;
+};
 
 class Backend {
  public:
@@ -27,52 +38,25 @@ class Backend {
   /// Current time in seconds (wall-clock since construction, or virtual).
   virtual double now() const = 0;
 
-  /// Drive the engine until `target` reaches a terminal state; kNoTask
-  /// means "until every submitted task is terminal" (a full barrier).
-  virtual void run_until(TaskId target) CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Completion-driven wait: drive the engine until at least one of
-  /// `targets` is terminal, in whatever order completions actually land
-  /// (no head-of-line blocking on submission order). Already-terminal
-  /// targets return immediately.
-  virtual void run_until_any(std::span<const TaskId> targets) CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Bounded barrier: drive the engine until every submitted task is
-  /// terminal or `seconds` have elapsed (wall or virtual) from the call,
-  /// whichever comes first. Returns true iff everything is terminal.
-  virtual bool run_for(double seconds) CHPO_REQUIRES(g_engine_ctx) = 0;
-
-  /// Bounded completion-driven wait: like run_until_any, but give up after
-  /// `seconds` (wall or virtual) even if no target turned terminal —
-  /// the building block for a service front-end that interleaves engine
-  /// progress with request handling. Returns true iff at least one target
-  /// is terminal on exit.
-  virtual bool run_until_any_for(std::span<const TaskId> targets, double seconds)
+  /// Start one attempt the engine placed. `inputs_staged`: a same-node
+  /// retry whose inputs are already on the node (no staging cost).
+  virtual void launch(const Dispatch& dispatch, bool inputs_staged)
       CHPO_REQUIRES(g_engine_ctx) = 0;
 
-  /// Drive the engine until an arbitrary predicate over engine state holds
-  /// (evaluated on the coordinator between engine steps). wait_on uses this
-  /// to ride out the lineage recovery of a result whose replicas died.
-  virtual void run_until_condition(const std::function<bool()>& finished)
-      CHPO_REQUIRES(g_engine_ctx) = 0;
+  /// Append to `out` the attempt ends that land by the absolute time
+  /// `until` (+inf: no bound), blocking until at least one does or `until`
+  /// passes. The simulator hands back at most one end per call and, when
+  /// none lands by `until`, advances its clock to `until`.
+  virtual void wait(double until, std::vector<AttemptEnd>& out) CHPO_REQUIRES(g_engine_ctx) = 0;
 
-  /// Run exactly one engine duty round — process due node events, reap
-  /// overdue attempts, dispatch ready work — without waiting for anything.
-  /// Used by the chaos hooks so an injected membership event applies
-  /// immediately rather than at the next blocking wait.
-  void poke() CHPO_REQUIRES(g_engine_ctx) {
-    int steps = 0;
-    run_until_condition([&steps] { return steps++ > 0; });
-  }
+  /// True for the discrete-event simulator.
+  virtual bool simulated() const = 0;
 
   /// Worker-side work-stealing counter (jobs a worker took from another
   /// worker's queue). 0 where the concept does not apply — the simulator
   /// runs bodies on the coordinator. Monitoring/tests only; unannotated
   /// because it reads an atomic, not engine state.
   virtual std::uint64_t steals() const { return 0; }
-
-  /// True for the discrete-event simulator.
-  virtual bool simulated() const = 0;
 };
 
 }  // namespace chpo::rt

@@ -20,11 +20,12 @@
 // internally synchronized FaultInjector, and buffers its writes in the
 // TaskContext. The contract is *compile-time checked* under clang's
 // -Wthread-safety: every mutating method requires the g_engine_ctx
-// capability (see engine_context.hpp), which only the Runtime facade and
-// the backend drive loops hold. Read-only queries used inside wait
-// predicates (task_terminal, quiescent, next-counter accessors) stay
-// unannotated — they are still coordinator-only by contract, but the
-// predicate lambdas the backends evaluate cannot carry capabilities.
+// capability (see engine_context.hpp), which only the Runtime facade (and
+// the backend calls its drive loop makes) hold. Read-only queries used
+// inside wait predicates (task_terminal, quiescent, next-counter
+// accessors) stay unannotated — they are still coordinator-only by
+// contract, but the predicate lambdas Runtime::drive evaluates cannot
+// carry capabilities.
 #pragma once
 
 #include <deque>
@@ -167,13 +168,13 @@ class Engine {
   Completion complete_attempt(std::uint64_t attempt_id, AttemptResult result, double start,
                               double end) CHPO_REQUIRES(g_engine_ctx);
 
-  /// Time-driven duties, called by the backend whenever the clock reaches a
+  /// Time-driven duties, called by Runtime::drive whenever the clock reaches a
   /// time next_wakeup() asked for (and harmlessly at any other time): reap
   /// in-flight attempts past their deadline (the attempt is charged as a
   /// failure *now*, even if a worker thread is still inside the body — its
   /// eventual completion is dropped as stale), promote retries whose
   /// backoff delay expired, and launch speculative duplicates for
-  /// straggling attempts. Returns dispatches the backend must execute.
+  /// straggling attempts. Returns dispatches the backend must launch.
   std::vector<Dispatch> on_wakeup(double now) CHPO_REQUIRES(g_engine_ctx);
 
   /// Earliest future instant at which on_wakeup(now) has work to do:
@@ -213,7 +214,7 @@ class Engine {
   std::size_t cancel_study(StudyId study, double now) CHPO_REQUIRES(g_engine_ctx);
 
   /// Tasks submitted / terminal under `study` (per-study barrier math).
-  /// Unannotated: evaluated inside backend wait predicates.
+  /// Unannotated: evaluated inside Runtime::drive's wait predicates.
   std::size_t study_task_count(StudyId study) const;
   std::size_t study_terminal_count(StudyId study) const;
   /// Every task of `study` is terminal — the per-study barrier condition.

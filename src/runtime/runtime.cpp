@@ -1,12 +1,19 @@
 #include "runtime/runtime.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "runtime/study_session.hpp"
 #include "runtime/thread_backend.hpp"
 #include "support/log.hpp"
 
 namespace chpo::rt {
+
+namespace {
+
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 Runtime::Runtime(RuntimeOptions options)
     : options_(std::move(options)),
@@ -134,14 +141,6 @@ const Runtime::StudyInfo& Runtime::study_info(StudyId study) const {
   return it->second;
 }
 
-std::vector<TaskId> Runtime::drain_study_completions(StudyId study) {
-  StudyInfo& info = study_info(study);
-  info.completions_enabled = true;  // opt-in, like the global queue
-  std::vector<TaskId> drained(info.completions.begin(), info.completions.end());
-  info.completions.clear();
-  return drained;
-}
-
 void Runtime::set_study_paused(StudyId study, bool paused) {
   study_info(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
@@ -169,20 +168,63 @@ std::size_t Runtime::cancel_study_tasks(StudyId study) {
 void Runtime::study_barrier(StudyId study) {
   study_info(study);  // validate
   EngineContextScope ctx(g_engine_ctx);
-  if (engine_.study_quiescent(study)) return;
-  backend_->run_until_condition([this, study] {
-    assert_engine_context();
-    return engine_.study_quiescent(study);
-  });
+  drive([this, study] { return engine_.study_quiescent(study); }, kNoDeadline);
+}
+
+bool Runtime::drive(const std::function<bool()>& finished, double deadline) {
+  engine_.flush_notifications();
+  while (!finished()) {
+    // Expired horizon first, before starting new work, so a zero budget
+    // dispatches nothing.
+    if (backend_->now() >= deadline) return false;
+
+    // Timed engine duties first (node events, reaping overdue attempts,
+    // backoff retries, speculative duplicates), then regular placement.
+    // Either can turn tasks terminal, so flush before re-checking.
+    for (const Dispatch& d : engine_.on_wakeup(backend_->now())) backend_->launch(d, false);
+    for (const Dispatch& d : engine_.schedule(backend_->now())) backend_->launch(d, false);
+    engine_.flush_notifications();
+    if (finished()) return true;
+
+    const std::optional<double> wake = engine_.next_wakeup(backend_->now());
+    if (engine_.running_count() == 0 && !wake) {
+      // Nothing can complete and no duty is due: constraints turned
+      // infeasible (node deaths), every remaining task is held (a paused
+      // study), or a genuine deadlock.
+      if (engine_.reap_infeasible()) {
+        engine_.flush_notifications();
+        continue;
+      }
+      if (finished()) return true;
+      if (deadline == kNoDeadline)
+        throw std::runtime_error("Runtime: no runnable tasks but target not finished");
+      // Bounded: the wait below hands back at the deadline.
+    }
+
+    ends_.clear();
+    backend_->wait(wake ? std::min(deadline, *wake) : deadline, ends_);
+    for (AttemptEnd& end : ends_) {
+      Engine::Completion completion =
+          engine_.complete_attempt(end.attempt_id, std::move(end.result), end.start, end.end);
+      // Same-node retry keeps its staged inputs; duration is re-modelled.
+      if (completion.retry) backend_->launch(*completion.retry, true);
+    }
+    // Safe point: the engine holds no record references here, so queued
+    // terminal notifications (and their user callbacks) can fire.
+    engine_.flush_notifications();
+  }
+  return true;
+}
+
+void Runtime::set_node_up(std::size_t node, bool up) {
+  EngineContextScope ctx(g_engine_ctx);
+  engine_.inject_node_event(node, backend_->now(), up);
+  int rounds = 0;
+  drive([&rounds] { return rounds++ > 0; }, kNoDeadline);
 }
 
 void Runtime::on_task_terminal(TaskId task, TaskState state) {
   if (completions_enabled_) completions_.push_back(task);
-  // Demultiplex to the owning study's queue: this is where the engine's
-  // terminal-notification funnel fans back out to sessions.
-  const auto study_it = studies_.find(graph_.task(task).study);
-  if (study_it != studies_.end() && study_it->second.completions_enabled)
-    study_it->second.completions.push_back(task);
   const auto it = callbacks_.find(task);
   if (it == callbacks_.end()) return;
   CompletionCallback callback = std::move(it->second);
@@ -210,7 +252,7 @@ Future Runtime::submit_in(const TaskDef& def, const std::vector<DataId>& inputs)
 std::any Runtime::wait_on(const Future& future) {
   if (future.producer == kNoTask) throw std::invalid_argument("wait_on: empty future");
   EngineContextScope ctx(g_engine_ctx);
-  backend_->run_until(future.producer);
+  drive([this, &future] { return engine_.task_terminal(future.producer); }, kNoDeadline);
   synced_.push_back(future);
   sink_.record(trace::Event{.kind = trace::EventKind::Sync,
                             .task_id = future.producer,
@@ -225,13 +267,15 @@ std::any Runtime::wait_on(const Future& future) {
   // a permanently failed producer or every node is gone).
   auto status = engine_.request_version(future.data, future.version, backend_->now());
   if (status == Engine::VersionStatus::Recovering) {
-    backend_->run_until_condition([this, &future, &status] {
-      // Evaluated from inside the drive loop, which holds the capability
-      // behind the std::function boundary.
-      assert_engine_context();
-      status = engine_.request_version(future.data, future.version, backend_->now());
-      return status != Engine::VersionStatus::Recovering;
-    });
+    drive(
+        [&] {
+          // Evaluated from inside the drive loop, which holds the capability
+          // behind the std::function boundary.
+          assert_engine_context();
+          status = engine_.request_version(future.data, future.version, backend_->now());
+          return status != Engine::VersionStatus::Recovering;
+        },
+        kNoDeadline);
   }
   if (status == Engine::VersionStatus::Unrecoverable)
     throw TaskFailedError(future.producer, "output lost with node " +
@@ -249,12 +293,8 @@ Future Runtime::wait_any_for(std::span<const Future> futures, double seconds) {
 Future Runtime::wait_first(std::span<const Future> futures, double seconds) {
   if (futures.empty()) throw std::invalid_argument("wait_any: no futures");
   EngineContextScope ctx(g_engine_ctx);
-  std::vector<TaskId> targets;
-  targets.reserve(futures.size());
-  for (const Future& f : futures) {
+  for (const Future& f : futures)
     if (f.producer == kNoTask) throw std::invalid_argument("wait_any: empty future");
-    targets.push_back(f.producer);
-  }
 
   // Pick the candidate that turned terminal first; drive the backend only
   // when none has yet.
@@ -274,10 +314,12 @@ Future Runtime::wait_first(std::span<const Future> futures, double seconds) {
 
   const Future* winner = first_finished();
   if (winner == nullptr) {
-    if (seconds < 0)
-      backend_->run_until_any(targets);
-    else
-      backend_->run_until_any_for(targets, seconds);
+    drive(
+        [this, &futures] {
+          return std::any_of(futures.begin(), futures.end(),
+                             [this](const Future& f) { return engine_.task_terminal(f.producer); });
+        },
+        seconds < 0 ? kNoDeadline : backend_->now() + seconds);
     winner = first_finished();
   }
   if (winner == nullptr) return Future{};  // timed out; nothing terminal
@@ -311,7 +353,7 @@ StudyProgress Runtime::study_progress(StudyId study) const {
 bool Runtime::wait_all_for(double seconds) {
   if (graph_.empty()) return true;
   EngineContextScope ctx(g_engine_ctx);
-  return backend_->run_for(seconds);
+  return drive([this] { return engine_.quiescent(); }, backend_->now() + seconds);
 }
 
 bool Runtime::cancel(const Future& future) {
@@ -327,7 +369,9 @@ bool Runtime::cancel(const Future& future) {
 void Runtime::barrier() {
   if (graph_.empty()) return;
   EngineContextScope ctx(g_engine_ctx);
-  backend_->run_until(kNoTask);
+  // A barrier also waits out pending lineage recoveries (quiescent), so
+  // data lost to a node death is recomputed before control returns.
+  drive([this] { return engine_.quiescent(); }, kNoDeadline);
 }
 
 Future Runtime::submit_in_group(const std::string& group, const TaskDef& def,
@@ -341,7 +385,8 @@ void Runtime::barrier_group(const std::string& group) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) return;
   EngineContextScope ctx(g_engine_ctx);
-  for (TaskId task : it->second) backend_->run_until(task);
+  for (const TaskId task : it->second)
+    drive([this, task] { return engine_.task_terminal(task); }, kNoDeadline);
   sink_.record(trace::Event{.kind = trace::EventKind::Sync,
                             .t_start = backend_->now(),
                             .t_end = backend_->now()});

@@ -199,16 +199,8 @@ class Runtime {
   /// whose only replica lived there is recovered through lineage. A revived
   /// node re-enters on probation (see NodeHealthPolicy). Throws
   /// std::out_of_range for an unknown node index.
-  void kill_node(std::size_t node) {
-    EngineContextScope ctx(g_engine_ctx);
-    engine_.inject_node_event(node, backend_->now(), false);
-    backend_->poke();  // apply now: reap attempts, drop replicas
-  }
-  void revive_node(std::size_t node) {
-    EngineContextScope ctx(g_engine_ctx);
-    engine_.inject_node_event(node, backend_->now(), true);
-    backend_->poke();
-  }
+  void kill_node(std::size_t node) { set_node_up(node, false); }
+  void revive_node(std::size_t node) { set_node_up(node, true); }
 
   /// compss_wait_on: block until the future's producer finished; returns
   /// its value. Throws TaskFailedError if it permanently failed.
@@ -304,16 +296,25 @@ class Runtime {
   friend class StudySession;
 
   void on_task_terminal(TaskId task, TaskState state);
+  /// The one drive loop behind every wait: run due engine duties, schedule,
+  /// launch the dispatches, then feed the attempt ends the backend reports
+  /// by min(deadline, Engine::next_wakeup) back into the engine, until
+  /// `finished()` holds or the absolute `deadline` (+inf: none) passes.
+  /// With nothing running and no timed duty pending it reaps infeasible
+  /// tasks, then hands back at a finite deadline or throws. Returns true
+  /// iff it stopped because `finished()` held.
+  bool drive(const std::function<bool()>& finished, double deadline)
+      CHPO_REQUIRES(g_engine_ctx);
+  /// kill_node/revive_node: inject the membership change at the current
+  /// backend time and run one duty round so it applies now (reap attempts,
+  /// drop replicas) rather than at the next blocking wait.
+  void set_node_up(std::size_t node, bool up);
   /// The body of wait_any (`seconds` < 0: no bound) and wait_any_for.
   Future wait_first(std::span<const Future> futures, double seconds);
 
-  /// Per-study bookkeeping on the Runtime side of the notification funnel.
+  /// Per-study bookkeeping on the Runtime side.
   struct StudyInfo {
     std::string name;
-    /// Terminal tasks of this study not yet drained by its session.
-    /// Opt-in like the global queue (see completions_enabled_).
-    std::deque<TaskId> completions;
-    bool completions_enabled = false;
   };
 
   /// Session plumbing (called by StudySession; study must be registered).
@@ -323,7 +324,6 @@ class Runtime {
   /// registers its callback first, then admits the whole wave with a single
   /// Engine::on_submitted_batch + flush. See submit_batch() for semantics.
   std::vector<Future> submit_study_batch(StudyId study, std::vector<BatchItem> items);
-  std::vector<TaskId> drain_study_completions(StudyId study);
   void set_study_paused(StudyId study, bool paused);
   bool is_study_paused(StudyId study) const;
   /// Tear down one study's in-flight work (kill / early-stop). Returns the
@@ -341,6 +341,8 @@ class Runtime {
   trace::TraceSink sink_;
   Engine engine_;
   std::unique_ptr<Backend> backend_;
+  /// drive()'s batch of attempt ends, reused so a wait allocates nothing.
+  std::vector<AttemptEnd> ends_;
   std::vector<Future> synced_;
   std::map<std::string, std::vector<TaskId>> groups_;
   /// Terminal notifications not yet consumed via drain_completions().

@@ -12,8 +12,6 @@
 // scheduling studies where only the timeline matters.
 #pragma once
 
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "runtime/backend.hpp"
@@ -31,56 +29,27 @@ class SimBackend : public Backend {
   explicit SimBackend(Engine& engine, SimOptions options = {});
 
   double now() const override { return now_; }
-  void run_until(TaskId target) override CHPO_REQUIRES(g_engine_ctx);
-  void run_until_any(std::span<const TaskId> targets) override CHPO_REQUIRES(g_engine_ctx);
-  bool run_for(double seconds) override CHPO_REQUIRES(g_engine_ctx);
-  bool run_until_any_for(std::span<const TaskId> targets, double seconds) override
+  void launch(const Dispatch& dispatch, bool inputs_staged) override
       CHPO_REQUIRES(g_engine_ctx);
-  void run_until_condition(const std::function<bool()>& finished) override
-      CHPO_REQUIRES(g_engine_ctx);
+  void wait(double until, std::vector<AttemptEnd>& out) override CHPO_REQUIRES(g_engine_ctx);
   bool simulated() const override { return true; }
 
  private:
-  // Node deaths/rejoins are engine-owned events now: next_wakeup() exposes
-  // their times, an EngineWakeup lands the clock there, and on_wakeup
-  // applies them. A TaskEnd for an attempt the engine reaped (node death,
-  // timeout) completes as a stale no-op.
-  enum class EvKind { TaskEnd, EngineWakeup };
+  /// One queued attempt end. An end for an attempt the engine reaped (node
+  /// death) completes as a stale no-op; timed engine duties are not events
+  /// here — Runtime::drive bounds each wait by Engine::next_wakeup.
   struct Ev {
-    double time = 0.0;
-    std::uint64_t seq = 0;  ///< FIFO tie-break for equal times
-    EvKind kind = EvKind::TaskEnd;
-    // TaskEnd payload:
-    TaskId task = kNoTask;
-    std::uint64_t attempt_id = 0;
-    Placement placement;
-    AttemptResult result;
-    double start = 0.0;  ///< when the body began (after staging)
+    std::uint64_t seq = 0;  ///< FIFO tie-break for equal end times
+    AttemptEnd end;
   };
 
-  void dispatch(const Dispatch& d, bool inputs_already_staged) CHPO_REQUIRES(g_engine_ctx);
-  /// Queue an EngineWakeup event at Engine::next_wakeup (straggler
-  /// threshold crossings and backoff expiries — timeouts are preempted at
-  /// dispatch instead). Spurious extra wakeups are harmless: on_wakeup is
-  /// idempotent for times with no due work.
-  void arm_wakeup() CHPO_REQUIRES(g_engine_ctx);
-  bool done(TaskId target) const;
   double task_duration(const TaskRecord& record, const Placement& placement) const;
-  /// Event loop shared by every wait flavour: pop events until `finished()`
-  /// holds or the next event lies beyond the virtual `deadline` (<0 =
-  /// none), in which case the clock advances to the deadline exactly.
-  /// Returns true iff it stopped because `finished()` held.
-  bool drive(const std::function<bool()>& finished, double deadline)
-      CHPO_REQUIRES(g_engine_ctx);
 
   Engine& engine_;
   SimOptions options_;
   double now_ = 0.0;
   std::uint64_t seq_ = 0;
-  std::vector<Ev> events_;  ///< min-heap by (time, seq)
-  /// Earliest EngineWakeup currently queued; < 0 = none. Avoids flooding
-  /// the heap with one wakeup per drive iteration.
-  double armed_wakeup_ = -1.0;
+  std::vector<Ev> events_;  ///< min-heap by (end time, seq)
 };
 
 }  // namespace chpo::rt

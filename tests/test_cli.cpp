@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -125,6 +126,40 @@ TEST_F(CliFixture, HelpPrintsUsage) {
   EXPECT_EQ(exit_code, 0);
   EXPECT_NE(output.find("usage:"), std::string::npos);
   EXPECT_NE(output.find("--algorithm"), std::string::npos);
+}
+
+TEST_F(CliFixture, CsvPerStudyWithSeveralStudies) {
+  // Each study numbers its trials from 0, so one shared file would repeat
+  // indices across studies; every study gets its own <csv>.study<i>.
+  int exit_code = -1;
+  const std::string csv = "/tmp/chpo_cli_history.csv";
+  const std::string output = run_command(
+      binary + " " + space_path +
+          " --studies 2 --algorithms grid,random --budget 3 --epoch-cap 1 --train-samples 60"
+          " --test-samples 20 --csv " +
+          csv,
+      &exit_code);
+  EXPECT_EQ(exit_code, 0) << output;
+  EXPECT_FALSE(std::filesystem::exists(csv));
+  for (const std::string& path : {csv + ".study0", csv + ".study1"}) {
+    ASSERT_TRUE(std::filesystem::exists(path)) << output;
+    std::ifstream in(path);
+    std::string line;
+    std::getline(in, line);
+    EXPECT_EQ(line, "trial,epoch,train_loss,train_acc,val_acc");
+    // A trial's history has one row per epoch: a repeated (trial, epoch)
+    // pair means two different trials share the index in this file.
+    std::set<std::string> trial_epochs;
+    std::size_t rows = 0;
+    while (std::getline(in, line)) {
+      ++rows;
+      const std::size_t second_comma = line.find(',', line.find(',') + 1);
+      EXPECT_TRUE(trial_epochs.insert(line.substr(0, second_comma)).second)
+          << path << " repeats " << line;
+    }
+    EXPECT_GT(rows, 0u) << path;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -294,6 +294,20 @@ TEST(HotPathStdFunction, AllowsColdMethodsAndOtherFiles) {
   EXPECT_TRUE(of_rule(findings, "hot-path-std-function").empty());
 }
 
+TEST(HotPathStdFunction, FlagsSimBackendLaunch) {
+  // The simulator launches every attempt and hands back every end through
+  // launch/wait, so it is held to the same per-task rule as the threads.
+  const auto findings = lint_files(
+      {{"src/runtime/sim_backend.cpp",
+        "void SimBackend::launch(const Dispatch& d, bool inputs_staged) {\n"
+        "  std::function<double()> duration = [&] { return 1.0; };\n"
+        "}\n"}});
+  const auto hits = of_rule(findings, "hot-path-std-function");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 2);
+  EXPECT_NE(hits[0].message.find("SimBackend::launch"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // registry-lock-blocking-call
 // ---------------------------------------------------------------------------

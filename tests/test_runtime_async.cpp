@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "runtime/runtime.hpp"
+#include "runtime/study_session.hpp"
 
 namespace chpo::rt {
 namespace {
@@ -337,6 +338,32 @@ TEST(Completions, DrainReturnsTerminalTasksInCompletionOrder) {
   const std::vector<TaskId> expected{b.producer, a.producer};
   EXPECT_EQ(drained, expected);
   EXPECT_TRUE(runtime.drain_completions().empty());  // consumed
+}
+
+/// A bounded wait that finds nothing runnable (the only task is held by a
+/// paused study) hands back at its deadline on either backend; the task
+/// still runs once the study resumes.
+void paused_study_bounded_waits(Runtime& runtime) {
+  StudySession held = runtime.open_study({.name = "held"});
+  held.pause();
+  const Future parked = held.submit(timed("parked", 1.0));
+  const std::vector<Future> futures{parked};
+  EXPECT_EQ(runtime.wait_any_for(futures, 0.05).producer, kNoTask);
+  EXPECT_FALSE(runtime.wait_all_for(0.05));
+  EXPECT_EQ(runtime.graph().task(parked.producer).state, TaskState::Ready);
+  held.resume();
+  EXPECT_EQ(runtime.wait_any(futures).producer, parked.producer);
+  EXPECT_EQ(runtime.graph().task(parked.producer).state, TaskState::Done);
+}
+
+TEST(BoundedWait, SimPausedStudyHandsBackAtTheDeadline) {
+  Runtime runtime(sim_cluster(1, 4));
+  paused_study_bounded_waits(runtime);
+}
+
+TEST(BoundedWait, ThreadPausedStudyHandsBackAtTheDeadline) {
+  Runtime runtime(thread_cluster(4));
+  paused_study_bounded_waits(runtime);
 }
 
 }  // namespace

@@ -64,19 +64,23 @@ TEST(StudySession, TasksCarryTheirStudyTagAndCompletionsRoutePerStudy) {
     EXPECT_NE(a.id(), b.id());
     EXPECT_EQ(a.name(), "alpha");
 
-    a.drain_completions();  // opt in before submitting
-    b.drain_completions();
+    // Each study's completions route back through its own tasks' callbacks.
+    std::vector<rt::TaskId> a_done, b_done;
     std::vector<rt::Future> a_tasks, b_tasks;
-    for (int i = 0; i < 3; ++i) a_tasks.push_back(a.submit(noop_task()));
-    for (int i = 0; i < 2; ++i) b_tasks.push_back(b.submit(noop_task()));
+    for (int i = 0; i < 3; ++i)
+      a_tasks.push_back(a.submit(noop_task(), {}, [&a_done](const rt::Future& f, rt::TaskState) {
+        a_done.push_back(f.producer);
+      }));
+    for (int i = 0; i < 2; ++i)
+      b_tasks.push_back(b.submit(noop_task(), {}, [&b_done](const rt::Future& f, rt::TaskState) {
+        b_done.push_back(f.producer);
+      }));
 
     for (const rt::Future& f : a_tasks) EXPECT_EQ(runtime.graph().task(f.producer).study, a.id());
     for (const rt::Future& f : b_tasks) EXPECT_EQ(runtime.graph().task(f.producer).study, b.id());
 
     a.barrier();
     b.barrier();
-    const std::vector<rt::TaskId> a_done = a.drain_completions();
-    const std::vector<rt::TaskId> b_done = b.drain_completions();
     EXPECT_EQ(a_done.size(), 3u);
     EXPECT_EQ(b_done.size(), 2u);
     for (const rt::TaskId t : a_done) EXPECT_EQ(runtime.graph().task(t).study, a.id());
@@ -491,6 +495,41 @@ TEST(StudyManager, TwoStudyIsolationUnderFaultInjection) {
     EXPECT_GT(retries, 0u);
     for (const rt::StudyId s : retry_studies) EXPECT_TRUE(s == ra || s == rb);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Thread backend: bounded steps over a paused study with queued trials
+// ---------------------------------------------------------------------------
+
+TEST(StudyManager, ThreadBackedPausedStudySurvivesBoundedSteps) {
+  // The daemon's loop: step_for over a study paused while its trials are
+  // still queued. With nothing runnable a bounded step must come back at
+  // its bound (Idle), not throw.
+  const ml::Dataset dataset = ml::make_mnist_like(80, 20, 7);
+  service::ManagerOptions options;
+  options.runtime = small_cluster(/*simulate=*/false, /*cpus=*/1, /*nodes=*/1);
+  service::StudyManager manager(std::move(options), dataset);
+  service::StudySpec spec = point_spec("held", "grid", 0, 31);
+  spec.space = hpo::SearchSpace::from_json_text(R"({
+    "optimizer": ["Adam", "SGD"],
+    "num_epochs": [2],
+    "batch_size": [16, 32]
+  })");
+  const rt::StudyId id = manager.submit(std::move(spec));
+
+  // A zero bound admits the study and submits its trials but starts none.
+  manager.step_for(0.0);
+  ASSERT_EQ(manager.state(id), service::StudyState::Running);
+  manager.pause(id);
+  for (int i = 0; i < 20; ++i)
+    EXPECT_NE(manager.step_for(0.05), service::StudyManager::StepOutcome::Drained);
+  EXPECT_EQ(manager.state(id), service::StudyState::Paused);
+
+  manager.resume(id);
+  manager.run_all();
+  EXPECT_EQ(manager.state(id), service::StudyState::Finished);
+  EXPECT_EQ(manager.outcome(id).trials.size(), 4u);
+  EXPECT_EQ(manager.leaked_completions(), 0u);
 }
 
 }  // namespace

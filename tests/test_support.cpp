@@ -1,13 +1,19 @@
 // Unit tests for src/support: RNG, strings, formatting, parallel_for,
-// stopwatch, logging.
+// stopwatch, logging, atomic file writes.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <thread>
 
+#include "support/atomic_file.hpp"
 #include "support/format.hpp"
 #include "support/log.hpp"
 #include "support/parallel_for.hpp"
@@ -213,6 +219,38 @@ TEST(Log, LevelFilteringRoundTrip) {
   EXPECT_EQ(log_level(), LogLevel::Error);
   log_info("test", "should be dropped {}", 1);  // must not crash
   set_log_level(before);
+}
+
+std::string read_whole(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(AtomicFile, ReplacesContentAndLeavesNoTmp) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("chpo_atomic_file_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "state.json").string();
+  std::string bytes = "{\"a\": 1}\n";
+  bytes.push_back('\0');  // binary-safe: embedded NUL survives
+  bytes += "tail";
+  for (const bool durable : {false, true}) {
+    ASSERT_TRUE(atomic_write_file(path, bytes, durable));
+    EXPECT_EQ(read_whole(path), bytes);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    bytes += "!";  // the second write replaces the first
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicFile, MissingDirectoryFailsAndCreatesNothing) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("chpo_atomic_missing_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  EXPECT_FALSE(atomic_write_file((dir / "state.json").string(), "x", /*durable=*/false));
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 }  // namespace

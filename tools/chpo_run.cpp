@@ -151,6 +151,11 @@ int run(const ArgParser& args) {
   defaults.driver = driver_options;
   defaults.budget = static_cast<std::size_t>(args.get_int("budget", 16));
 
+  // One file per study when there are several (a shared checkpoint would
+  // cross-replay between studies, a shared CSV would mix their trials).
+  const auto per_study_path = [studies](const std::string& base, std::size_t i) {
+    return studies == 1 ? base : base + ".study" + std::to_string(i);
+  };
   std::vector<rt::StudyId> ids;
   for (std::size_t i = 0; i < studies; ++i) {
     const std::string& algorithm = algorithms[i % algorithms.size()];
@@ -158,21 +163,16 @@ int run(const ArgParser& args) {
     spec_json.set("algorithm", json::Value(algorithm));
     spec_json.set("name", json::Value(algorithm + "-" + std::to_string(i)));
     spec_json.set("space", space_json);
-    // Distinct trial seeds per study; one shared checkpoint file would
-    // cross-replay between studies, so suffix it when there are several.
+    // Distinct trial seeds per study.
     spec_json.set("seed", json::Value(static_cast<std::int64_t>(seed + i * 1000003ULL)));
     if (!driver_options.checkpoint_path.empty())
-      spec_json.set("checkpoint",
-                    json::Value(studies == 1 ? driver_options.checkpoint_path
-                                             : driver_options.checkpoint_path + ".study" +
-                                                   std::to_string(i)));
+      spec_json.set("checkpoint", json::Value(per_study_path(driver_options.checkpoint_path, i)));
     ids.push_back(manager.submit(service::study_spec_from_json(spec_json, defaults)));
   }
   manager.run_all();
 
   // Per-study reports.
   std::vector<hpo::StudySummaryRow> rows;
-  std::vector<hpo::Trial> all_trials;
   bool complete = true;
   for (const rt::StudyId id : ids) {
     const service::StudyStatus status = manager.status(id);
@@ -188,7 +188,6 @@ int run(const ArgParser& args) {
     if (outcome.reuse) std::printf("%s", hpo::reuse_summary(*outcome.reuse).c_str());
     complete = complete && status.state == service::StudyState::Finished &&
                !outcome.trials.empty();
-    all_trials.insert(all_trials.end(), outcome.trials.begin(), outcome.trials.end());
     hpo::StudySummaryRow row;
     row.name = status.name;
     row.algorithm = status.algorithm;
@@ -238,9 +237,12 @@ int run(const ArgParser& args) {
     std::printf("Paraver trace written to %s.prv/.row\n", args.get("trace").c_str());
   }
   if (args.has("csv")) {
-    std::ofstream out(args.get("csv"));
-    out << hpo::history_csv(all_trials);
-    std::printf("history CSV written to %s\n", args.get("csv").c_str());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const std::string path = per_study_path(args.get("csv"), i);
+      std::ofstream out(path);
+      out << hpo::history_csv(manager.outcome(ids[i]).trials);
+      std::printf("history CSV written to %s\n", path.c_str());
+    }
   }
   if (args.get_bool("gantt"))
     std::printf("\n%s", trace::render_gantt(trace_events, {.width = 96}).c_str());
